@@ -105,14 +105,14 @@ func experiments() []experiment {
 			}
 			return bench.CoderTable(r), nil
 		}},
-		{"transport", "network data plane: gob baseline vs multiplexed binary transport", func(cfg bench.Config) (*bench.Table, error) {
+		{"transport", "network data plane: multiplexed binary transport at 1/8/64 clients", func(cfg bench.Config) (*bench.Table, error) {
 			r, err := bench.TransportThroughput(cfg)
 			if err != nil {
 				return nil, err
 			}
 			return bench.TransportTable(r), nil
 		}},
-		{"read", "controller serving path: sequential vs parallel vs hedged fetches", func(cfg bench.Config) (*bench.Table, error) {
+		{"read", "controller serving path: parallel vs hedged fetches", func(cfg bench.Config) (*bench.Table, error) {
 			r, err := bench.ReadThroughput(cfg)
 			if err != nil {
 				return nil, err
@@ -140,7 +140,7 @@ func experiments() []experiment {
 			}
 			return bench.ChaosTable(r), nil
 		}},
-		{"autoscale", "closed-loop capacity plane: diurnal+viral trace, EWMA replan only vs analyzer+autoscaler", func(cfg bench.Config) (*bench.Table, error) {
+		{"autoscale", "closed-loop capacity plane: diurnal+viral trace, EWMA replan only vs admission gate+autoscaler", func(cfg bench.Config) (*bench.Table, error) {
 			r, err := bench.AutoscaleClosedLoop(cfg)
 			if err != nil {
 				return nil, err

@@ -375,7 +375,7 @@ func runCtrl(oc *objstore.Cluster, cfg ctrlConfig) {
 		capacity = 3 * cfg.objects
 	}
 	// One process-wide scheduler batches every periodic plane — the
-	// controller's replan/autoscale/analyzer jobs and the repair scan —
+	// controller's control job and the repair scan —
 	// onto a single goroutine and timer.
 	sched := tick.New()
 	defer sched.Close()

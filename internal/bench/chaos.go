@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -186,7 +185,7 @@ func (s *chaosStack) hotOSDs(want int) ([]int, error) {
 	return hot, nil
 }
 
-// chaosDrive runs readers×opsEach Zipf-picked reads, returning success
+// chaosDrive runs readers×opsEach Zipf-picked reads, returning sorted success
 // latencies plus shed (overload/saturation) and hard-error counts.
 func (s *chaosStack) chaosDrive(cfg Config, readers, opsEach int) ([]time.Duration, int64, int64, time.Duration) {
 	picker := workload.NewRatePicker(s.lambdas)
@@ -218,20 +217,7 @@ func (s *chaosStack) chaosDrive(cfg Config, readers, opsEach int) ([]time.Durati
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	var merged []time.Duration
-	for _, l := range latencies {
-		merged = append(merged, l...)
-	}
-	return merged, sheds.Load(), hardErrs.Load(), elapsed
-}
-
-func chaosPct(lats []time.Duration, p float64) float64 {
-	if len(lats) == 0 {
-		return 0
-	}
-	s := append([]time.Duration(nil), lats...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return float64(s[int(p*float64(len(s)-1))]) / float64(time.Millisecond)
+	return mergeSorted(latencies), sheds.Load(), hardErrs.Load(), elapsed
 }
 
 func chaosPoint(cfg Config, scenario string, resilient bool) (ChaosResult, error) {
@@ -333,9 +319,9 @@ func chaosPoint(cfg Config, scenario string, resilient bool) (ChaosResult, error
 		Sheds:        sheds,
 		Errors:       hardErrs,
 		OpsPerSec:    float64(len(lats)) / elapsed.Seconds(),
-		P50ms:        chaosPct(lats, 0.50),
-		P99ms:        chaosPct(lats, 0.99),
-		HealthyP99ms: chaosPct(healthyLats, 0.99),
+		P50ms:        pct(lats, 0.50, time.Millisecond),
+		P99ms:        pct(lats, 0.99, time.Millisecond),
+		HealthyP99ms: pct(healthyLats, 0.99, time.Millisecond),
 		Failovers:    stats.FetchFailovers - statsBefore.FetchFailovers,
 		Demotions:    stats.BreakerDemotions - statsBefore.BreakerDemotions,
 		Hedges:       stats.HedgesLaunched - statsBefore.HedgesLaunched,

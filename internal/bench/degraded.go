@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -220,17 +219,7 @@ func degradedReadPoint(cfg Config, pt degradedPoint, cacheMode string, failed in
 	}
 	elapsed := time.Since(start)
 
-	var merged []time.Duration
-	for _, l := range latencies {
-		merged = append(merged, l...)
-	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i] < merged[j] })
-	pct := func(p float64) float64 {
-		if len(merged) == 0 {
-			return 0
-		}
-		return float64(merged[int(p*float64(len(merged)-1))]) / float64(time.Millisecond)
-	}
+	merged := mergeSorted(latencies)
 
 	stats := ctrl.Stats()
 	rs := mgr.Stats()
@@ -243,8 +232,8 @@ func degradedReadPoint(cfg Config, pt degradedPoint, cacheMode string, failed in
 		Failed:            failed,
 		Ops:               len(merged),
 		OpsPerSec:         float64(len(merged)) / elapsed.Seconds(),
-		P50ms:             pct(0.50),
-		P99ms:             pct(0.99),
+		P50ms:             pct(merged, 0.50, time.Millisecond),
+		P99ms:             pct(merged, 0.99, time.Millisecond),
 		DegradedReads:     stats.DegradedReads,
 		CacheRescues:      stats.CacheRescues,
 		Failovers:         stats.FetchFailovers,

@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sprout/internal/cluster"
@@ -20,7 +18,7 @@ import (
 // fetch mode × concurrent readers × cache warmth.
 type ReadResult struct {
 	Cache     string // "cold" (no cache) or "warm" (planned + prefetched)
-	Mode      string // "seq" (seed baseline), "par", or "hedge"
+	Mode      string // "par" or "hedge"
 	Readers   int
 	Ops       int
 	OpsPerSec float64
@@ -133,8 +131,6 @@ func (s *instantStore) FetchChunk(_ context.Context, fileID, chunkIndex, _ int) 
 // readServeOptions maps an experiment mode to controller serving options.
 func readServeOptions(mode string) (core.ServeOptions, error) {
 	switch mode {
-	case "seq":
-		return core.ServeOptions{SequentialFetch: true}, nil
 	case "par":
 		return core.ServeOptions{}, nil
 	case "hedge":
@@ -146,8 +142,8 @@ func readServeOptions(mode string) (core.ServeOptions, error) {
 
 // ReadThroughput drives the controller end to end — scheduling, cache
 // lookups, concurrent chunk fetches against an emulated-latency store, and
-// decode — and A/Bs the seed's sequential fetch loop against the parallel
-// and hedged read planes across reader counts and cache warmth.
+// decode — and A/Bs the parallel and hedged read planes across reader
+// counts and cache warmth.
 func ReadThroughput(cfg Config) ([]ReadResult, error) {
 	cfg = cfg.withDefaults()
 	files := cfg.Files
@@ -172,7 +168,7 @@ func ReadThroughput(cfg Config) ([]ReadResult, error) {
 		name     string
 		capacity int
 	}{{"cold", 0}, {"warm", 2 * files}} {
-		for _, mode := range []string{"seq", "par", "hedge"} {
+		for _, mode := range []string{"par", "hedge"} {
 			for _, readers := range []int{1, 4, 16} {
 				ops := opsBase * readers
 				if ops > 8*opsBase {
@@ -272,49 +268,12 @@ func readPoint(clu *cluster.Cluster, lambdas []float64, chunks [][][]byte, cfg C
 	store := NewLatencyStore(chunks, cfg.Seed+3, 500*time.Microsecond, time.Millisecond, 0.03, 8)
 	requests := zipfSequence(rand.New(rand.NewSource(cfg.Seed+4)), lambdas, totalOps)
 
-	var next atomic.Int64
-	latencies := make([][]time.Duration, readers)
-	errs := make([]error, readers)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < readers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var lats []time.Duration
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= totalOps {
-					break
-				}
-				opStart := time.Now()
-				if _, err := ctrl.Read(ctx, requests[i], store); err != nil {
-					errs[w] = err
-					return
-				}
-				lats = append(lats, time.Since(opStart))
-			}
-			latencies[w] = lats
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return ReadResult{}, err
-		}
-	}
-
-	var merged []time.Duration
-	for _, l := range latencies {
-		merged = append(merged, l...)
-	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i] < merged[j] })
-	pct := func(p float64) float64 {
-		if len(merged) == 0 {
-			return 0
-		}
-		return float64(merged[int(p*float64(len(merged)-1))]) / float64(time.Millisecond)
+	lats, elapsed, err := closedLoop(readers, totalOps, func(_, i int) error {
+		_, err := ctrl.Read(ctx, requests[i], store)
+		return err
+	})
+	if err != nil {
+		return ReadResult{}, err
 	}
 	stats := ctrl.Stats()
 	var share float64
@@ -324,10 +283,10 @@ func readPoint(clu *cluster.Cluster, lambdas []float64, chunks [][][]byte, cfg C
 	return ReadResult{
 		Mode:       mode,
 		Readers:    readers,
-		Ops:        len(merged),
-		OpsPerSec:  float64(len(merged)) / elapsed.Seconds(),
-		P50ms:      pct(0.50),
-		P99ms:      pct(0.99),
+		Ops:        len(lats),
+		OpsPerSec:  float64(len(lats)) / elapsed.Seconds(),
+		P50ms:      pct(lats, 0.50, time.Millisecond),
+		P99ms:      pct(lats, 0.99, time.Millisecond),
 		CacheShare: share,
 		Hedges:     stats.HedgesLaunched,
 		HedgeWins:  stats.HedgeWins,
@@ -335,26 +294,26 @@ func readPoint(clu *cluster.Cluster, lambdas []float64, chunks [][][]byte, cfg C
 }
 
 // ReadTable renders ReadThroughput results, with the speedup of each mode
-// over the sequential baseline at matching cache warmth and concurrency.
+// over parallel fetches at matching cache warmth and concurrency.
 func ReadTable(results []ReadResult) *Table {
 	t := &Table{
-		Title:   "controller serving path: sequential vs parallel vs hedged chunk fetches",
+		Title:   "controller serving path: parallel vs hedged chunk fetches",
 		Headers: []string{"cache", "mode", "readers", "ops", "ops/s", "p50 ms", "p99 ms", "speedup", "cache%", "hedges", "wins"},
 		Notes: []string{
 			"store emulates 0.5ms+Exp(1ms) per chunk fetch with 3% stragglers at 8x",
-			"seq replays the seed's serialised fetch loop; par fans fetches out; hedge adds 4ms/2-extra hedging",
+			"par fans fetches out; hedge adds 4ms/2-extra hedging",
 			"warm points plan + prefetch the functional cache before measuring",
 		},
 	}
 	base := make(map[string]float64)
 	for _, r := range results {
-		if r.Mode == "seq" {
+		if r.Mode == "par" {
 			base[fmt.Sprintf("%s/%d", r.Cache, r.Readers)] = r.OpsPerSec
 		}
 	}
 	for _, r := range results {
 		speedup := "1.00x"
-		if b := base[fmt.Sprintf("%s/%d", r.Cache, r.Readers)]; b > 0 && r.Mode != "seq" {
+		if b := base[fmt.Sprintf("%s/%d", r.Cache, r.Readers)]; b > 0 && r.Mode != "par" {
 			speedup = fmt.Sprintf("%.2fx", r.OpsPerSec/b)
 		}
 		t.AddRow(
@@ -371,8 +330,8 @@ func ReadTable(results []ReadResult) *Table {
 			i64toa(r.HedgeWins),
 		)
 	}
-	// Gate on the warm high-concurrency ratios: parallel fan-out must keep
-	// its speedup over the sequential loop, and hedging must not give it back.
+	// Hedging must not give back the parallel plane's throughput at the warm
+	// high-concurrency point.
 	maxReaders := 0
 	for _, r := range results {
 		if r.Cache == "warm" && r.Readers > maxReaders {
@@ -380,16 +339,11 @@ func ReadTable(results []ReadResult) *Table {
 		}
 	}
 	for _, r := range results {
-		if r.Cache != "warm" || r.Readers != maxReaders {
+		if r.Cache != "warm" || r.Readers != maxReaders || r.Mode != "hedge" {
 			continue
 		}
 		if b := base[fmt.Sprintf("warm/%d", r.Readers)]; b > 0 {
-			switch r.Mode {
-			case "par":
-				t.AddMetric("warm_par_speedup_vs_seq", r.OpsPerSec/b, "ratio", true, 0)
-			case "hedge":
-				t.AddMetric("warm_hedge_speedup_vs_seq", r.OpsPerSec/b, "ratio", true, 0)
-			}
+			t.AddMetric("warm_hedge_speedup_vs_par", r.OpsPerSec/b, "ratio", true, 0)
 		}
 	}
 	return t

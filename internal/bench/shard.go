@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sprout/internal/cluster"
@@ -221,37 +219,12 @@ func shardPoint(clu *cluster.Cluster, lambdas []float64, chunks [][][]byte, cfg 
 		requests[i] = reqRNG.Intn(len(lambdas))
 	}
 	ctx := context.Background()
-	var next atomic.Int64
-	latencies := make([][]time.Duration, shardClients)
-	errs := make([]error, shardClients)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < shardClients; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var lats []time.Duration
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= totalOps {
-					break
-				}
-				opStart := time.Now()
-				if _, err := r.Read(ctx, requests[i], stores[0]); err != nil {
-					errs[w] = err
-					return
-				}
-				lats = append(lats, time.Since(opStart))
-			}
-			latencies[w] = lats
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return ShardResult{}, err
-		}
+	lats, elapsed, err := closedLoop(shardClients, totalOps, func(_, i int) error {
+		_, err := r.Read(ctx, requests[i], stores[0])
+		return err
+	})
+	if err != nil {
+		return ShardResult{}, err
 	}
 
 	// Overwrite burst: a handful of writes through the router, each fanning
@@ -266,26 +239,14 @@ func shardPoint(clu *cluster.Cluster, lambdas []float64, chunks [][][]byte, cfg 
 		}
 	}
 
-	var merged []time.Duration
-	for _, l := range latencies {
-		merged = append(merged, l...)
-	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i] < merged[j] })
-	pct := func(p float64) float64 {
-		if len(merged) == 0 {
-			return 0
-		}
-		return float64(merged[int(p*float64(len(merged)-1))]) / float64(time.Millisecond)
-	}
-
 	st := r.Stats()
 	res := ShardResult{
 		Shards:               shards,
 		Clients:              shardClients,
-		Ops:                  len(merged),
-		OpsPerSec:            float64(len(merged)) / elapsed.Seconds(),
-		P50ms:                pct(0.50),
-		P99ms:                pct(0.99),
+		Ops:                  len(lats),
+		OpsPerSec:            float64(len(lats)) / elapsed.Seconds(),
+		P50ms:                pct(lats, 0.50, time.Millisecond),
+		P99ms:                pct(lats, 0.99, time.Millisecond),
 		Writes:               writes,
 		InvalidationsSent:    st.InvalidationsSent,
 		InvalidationsApplied: st.InvalidationsApplied,

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -237,7 +238,7 @@ func tenantPoint(cfg Config, arm string, bronzeReaders int) (TenantResult, error
 
 	const goldReaders, opsEach = 4, 120
 
-	// Unmeasured warmup settles the cache fills and the admission EWMA.
+	// Unmeasured warmup settles the cache fills.
 	var warm sync.WaitGroup
 	var wgold, wbronze tenantDriveResult
 	s.tenantDrive(cfg, "gold", goldFiles, goldReaders, 15, &warm, &wgold)
@@ -255,14 +256,16 @@ func tenantPoint(cfg Config, arm string, bronzeReaders int) (TenantResult, error
 	elapsed := time.Since(start)
 	stats := s.ctrl.Stats()
 	ts := s.ctrl.TenantStats()
+	slices.Sort(gold.lats)
+	slices.Sort(bronze.lats)
 
 	return TenantResult{
 		Arm:            arm,
 		GoldOps:        len(gold.lats),
 		BronzeOps:      len(bronze.lats),
-		GoldP50ms:      chaosPct(gold.lats, 0.50),
-		GoldP99ms:      chaosPct(gold.lats, 0.99),
-		BronzeP99ms:    chaosPct(bronze.lats, 0.99),
+		GoldP50ms:      pct(gold.lats, 0.50, time.Millisecond),
+		GoldP99ms:      pct(gold.lats, 0.99, time.Millisecond),
+		BronzeP99ms:    pct(bronze.lats, 0.99, time.Millisecond),
 		GoldSheds:      ts["gold"].Sheds - tsBefore["gold"].Sheds,
 		BronzeSheds:    ts["bronze"].Sheds - tsBefore["bronze"].Sheds,
 		Errors:         gold.errors.Load() + bronze.errors.Load(),

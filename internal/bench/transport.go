@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sort"
-	"sync"
 	"time"
 
 	"sprout/internal/objstore"
@@ -14,18 +12,18 @@ import (
 	"sprout/internal/transport"
 )
 
-// TransportResult measures one transport at one offered concurrency: chunk
-// reads per second and client-observed latency percentiles.
+// TransportResult measures the multiplexed binary transport at one offered
+// concurrency: chunk reads per second and client-observed latency
+// percentiles.
 type TransportResult struct {
-	Transport string // "gob" (seed baseline) or "binary" (multiplexed)
-	Clients   int    // concurrent client goroutines
-	Conns     int    // TCP connections used
+	Clients   int // concurrent client goroutines
+	Conns     int // TCP connections used
 	Ops       int
 	OpsPerSec float64
 	P50us     float64
 	P99us     float64
 	Overloads int64 // server-side overload rejections during the point
-	Retries   int64 // client retries (binary only)
+	Retries   int64 // client retries
 }
 
 // transportBenchChunk is the chunk size of the measured GetChunk op; small
@@ -33,9 +31,8 @@ type TransportResult struct {
 // small-requests serving regime.
 const transportBenchChunk = 4 << 10
 
-// TransportThroughput compares the seed gob-over-TCP transport (one
-// blocking request per connection) against the multiplexed binary transport
-// (pooled connections, pipelining, bounded server worker pool) on a
+// TransportThroughput measures the multiplexed binary transport (pooled
+// connections, pipelining, bounded server worker pool) on a
 // zero-service-time store, so the numbers isolate the network data plane.
 // Each point performs a fixed number of 4 KiB chunk reads split across the
 // client goroutines.
@@ -49,14 +46,7 @@ func TransportThroughput(cfg Config) ([]TransportResult, error) {
 
 	var out []TransportResult
 	for _, clients := range clientCounts {
-		res, err := gobPoint(cfg, clients, opsPerPoint)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res)
-	}
-	for _, clients := range clientCounts {
-		res, err := binaryPoint(cfg, clients, opsPerPoint)
+		res, err := transportPoint(cfg, clients, opsPerPoint)
 		if err != nil {
 			return nil, err
 		}
@@ -89,39 +79,7 @@ func transportStore(cfg Config) (*objstore.Cluster, error) {
 	return cluster, nil
 }
 
-func gobPoint(cfg Config, clients, totalOps int) (TransportResult, error) {
-	cluster, err := transportStore(cfg)
-	if err != nil {
-		return TransportResult{}, err
-	}
-	srv := transport.NewGobServer(cluster)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		return TransportResult{}, err
-	}
-	defer srv.Close()
-
-	// The seed client serialises requests over its single connection, so
-	// the only way it scales is one connection per client goroutine.
-	conns := make([]*transport.GobClient, clients)
-	for i := range conns {
-		if conns[i], err = transport.DialGob(addr, 5*time.Second); err != nil {
-			return TransportResult{}, err
-		}
-		defer conns[i].Close()
-	}
-	latencies, elapsed, err := runPoint(clients, totalOps, func(worker, op int) error {
-		_, _, err := conns[worker].GetChunk("data", "hot", op%5)
-		return err
-	})
-	if err != nil {
-		return TransportResult{}, err
-	}
-	res := summarise("gob", clients, clients, latencies, elapsed)
-	return res, nil
-}
-
-func binaryPoint(cfg Config, clients, totalOps int) (TransportResult, error) {
+func transportPoint(cfg Config, clients, totalOps int) (TransportResult, error) {
 	cluster, err := transportStore(cfg)
 	if err != nil {
 		return TransportResult{}, err
@@ -153,111 +111,43 @@ func binaryPoint(cfg Config, clients, totalOps int) (TransportResult, error) {
 	defer client.Close()
 
 	ctx := context.Background()
-	latencies, elapsed, err := runPoint(clients, totalOps, func(worker, op int) error {
+	lats, elapsed, err := closedLoop(clients, totalOps, func(_, op int) error {
 		_, _, err := client.GetChunk(ctx, "data", "hot", op%5)
 		return err
 	})
 	if err != nil {
 		return TransportResult{}, err
 	}
-	res := summarise("binary", clients, poolConns, latencies, elapsed)
-	res.Overloads = srv.Stats().OverloadRejections
-	res.Retries = client.Stats().Retries
-	return res, nil
-}
-
-// runPoint splits totalOps across clients goroutines, timing every op.
-func runPoint(clients, totalOps int, op func(worker, op int) error) ([]time.Duration, time.Duration, error) {
-	perClient := totalOps / clients
-	if perClient == 0 {
-		perClient = 1
-	}
-	latencies := make([][]time.Duration, clients)
-	errs := make([]error, clients)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < clients; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			lats := make([]time.Duration, 0, perClient)
-			for i := 0; i < perClient; i++ {
-				opStart := time.Now()
-				if err := op(w, w*perClient+i); err != nil {
-					errs[w] = err
-					return
-				}
-				lats = append(lats, time.Since(opStart))
-			}
-			latencies[w] = lats
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return nil, 0, err
-		}
-	}
-	var merged []time.Duration
-	for _, l := range latencies {
-		merged = append(merged, l...)
-	}
-	return merged, elapsed, nil
-}
-
-func summarise(name string, clients, conns int, latencies []time.Duration, elapsed time.Duration) TransportResult {
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	pct := func(p float64) float64 {
-		if len(latencies) == 0 {
-			return 0
-		}
-		idx := int(p * float64(len(latencies)-1))
-		return float64(latencies[idx]) / float64(time.Microsecond)
-	}
 	return TransportResult{
-		Transport: name,
 		Clients:   clients,
-		Conns:     conns,
-		Ops:       len(latencies),
-		OpsPerSec: float64(len(latencies)) / elapsed.Seconds(),
-		P50us:     pct(0.50),
-		P99us:     pct(0.99),
-	}
+		Conns:     poolConns,
+		Ops:       len(lats),
+		OpsPerSec: float64(len(lats)) / elapsed.Seconds(),
+		P50us:     pct(lats, 0.50, time.Microsecond),
+		P99us:     pct(lats, 0.99, time.Microsecond),
+		Overloads: srv.Stats().OverloadRejections,
+		Retries:   client.Stats().Retries,
+	}, nil
 }
 
-// TransportTable renders TransportThroughput results, including the
-// binary-vs-gob speedup at matching concurrency.
+// TransportTable renders TransportThroughput results.
 func TransportTable(results []TransportResult) *Table {
 	t := &Table{
-		Title:   "transport data plane: 4KiB chunk reads, gob baseline vs multiplexed binary",
-		Headers: []string{"transport", "clients", "conns", "ops", "ops/s", "p50 us", "p99 us", "speedup", "overloads", "retries"},
+		Title:   "transport data plane: 4KiB chunk reads over the multiplexed binary transport",
+		Headers: []string{"clients", "conns", "ops", "ops/s", "p50 us", "p99 us", "overloads", "retries"},
 		Notes: []string{
 			"zero-service-time store: numbers isolate framing, syscalls, and scheduling",
-			"gob opens one connection per client (the seed client blocks per request)",
-			"binary multiplexes every client over a small pooled connection set",
+			"every client is multiplexed over a small pooled connection set",
 		},
 	}
-	gobOps := make(map[int]float64)
 	for _, r := range results {
-		if r.Transport == "gob" {
-			gobOps[r.Clients] = r.OpsPerSec
-		}
-	}
-	for _, r := range results {
-		speedup := "1.00x"
-		if base := gobOps[r.Clients]; base > 0 && r.Transport != "gob" {
-			speedup = fmt.Sprintf("%.2fx", r.OpsPerSec/base)
-		}
 		t.AddRow(
-			r.Transport,
 			itoa(r.Clients),
 			itoa(r.Conns),
 			itoa(r.Ops),
 			fmt.Sprintf("%.0f", r.OpsPerSec),
 			fmt.Sprintf("%.0f", r.P50us),
 			fmt.Sprintf("%.0f", r.P99us),
-			speedup,
 			i64toa(r.Overloads),
 			i64toa(r.Retries),
 		)

@@ -4,9 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"sprout/internal/objstore"
@@ -134,56 +131,17 @@ func writePoint(cfg Config, path string, writers, totalOps int) (WriteResult, er
 		return WriteResult{}, fmt.Errorf("bench: unknown write path %q", path)
 	}
 
-	var next atomic.Int64
-	latencies := make([][]time.Duration, writers)
-	errs := make([]error, writers)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var lats []time.Duration
-			for {
-				op := int(next.Add(1)) - 1
-				if op >= totalOps {
-					break
-				}
-				opStart := time.Now()
-				if err := put(op); err != nil {
-					errs[w] = err
-					return
-				}
-				lats = append(lats, time.Since(opStart))
-			}
-			latencies[w] = lats
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return WriteResult{}, err
-		}
-	}
-	var merged []time.Duration
-	for _, l := range latencies {
-		merged = append(merged, l...)
-	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i] < merged[j] })
-	pct := func(p float64) float64 {
-		if len(merged) == 0 {
-			return 0
-		}
-		return float64(merged[int(p*float64(len(merged)-1))]) / float64(time.Millisecond)
+	lats, elapsed, err := closedLoop(writers, totalOps, func(_, op int) error { return put(op) })
+	if err != nil {
+		return WriteResult{}, err
 	}
 	return WriteResult{
 		Path:      path,
 		Writers:   writers,
-		Ops:       len(merged),
-		OpsPerSec: float64(len(merged)) / elapsed.Seconds(),
-		P50ms:     pct(0.50),
-		P99ms:     pct(0.99),
+		Ops:       len(lats),
+		OpsPerSec: float64(len(lats)) / elapsed.Seconds(),
+		P50ms:     pct(lats, 0.50, time.Millisecond),
+		P99ms:     pct(lats, 0.99, time.Millisecond),
 		Overloads: srv.Stats().OverloadRejections,
 		Retries:   client.Stats().Retries,
 	}, nil

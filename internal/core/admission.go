@@ -1,7 +1,8 @@
 package core
 
 import (
-	"math"
+	"cmp"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -21,14 +22,24 @@ func (saturatedError) Unwrap() error { return resilience.ErrOverload }
 // file and could not be served from cache alone.
 var ErrSaturated error = saturatedError{}
 
+// Brownout thresholds: the saturation scores at which each level engages,
+// and the minimum time between changes of the latency-driven level.
+const (
+	noHedgeAt     = 0.75
+	cacheOnlyAt   = 1.0
+	shedAt        = 1.25
+	brownoutDwell = time.Second
+)
+
 // AdmissionConfig tunes the controller's saturation gate. The gate scores
-// pressure as max(inflight/MaxInFlight, p99/LatencyTarget) and degrades
-// service in levels as the score rises:
+// pressure as max(inflight/MaxInFlight, p99/LatencyTarget), where p99 is the
+// read-latency p99 the control job measured over its last window, and
+// degrades service in levels as the score rises:
 //
-//	level 1 (score ≥ NoHedgeAt):   hedged fetches are suppressed
-//	level 2 (score ≥ CacheOnlyAt): background cache fills are suppressed
-//	level 3 (score ≥ ShedAt):      reads of low-value files that need
-//	                               storage fetches are shed (ErrSaturated)
+//	level 1 (score ≥ 0.75): hedged fetches are suppressed
+//	level 2 (score ≥ 1.0):  background cache fills are suppressed
+//	level 3 (score ≥ 1.25): reads of low-value files that need storage
+//	                        fetches are shed (ErrSaturated)
 //
 // Cheap capacity is given up first (speculative hedges), then background
 // work, and only then actual reads — and only the reads the plan values
@@ -38,126 +49,94 @@ type AdmissionConfig struct {
 	// MaxInFlight is the in-flight read count considered full pressure.
 	// Default 256.
 	MaxInFlight int
-	// LatencyTarget is the read p99 considered full pressure. Zero disables
-	// the latency signal (queue depth alone drives the gate).
+	// LatencyTarget is the windowed read p99 considered full pressure. Zero
+	// disables the latency signal (queue depth alone drives the gate).
 	LatencyTarget time.Duration
-	// NoHedgeAt, CacheOnlyAt, ShedAt are the scores at which each brownout
-	// level engages. Defaults 0.75, 1.0, 1.25.
-	NoHedgeAt   float64
-	CacheOnlyAt float64
-	ShedAt      float64
-	// Alpha is the EWMA weight of the p99 tracker. Default 0.2.
-	Alpha float64
 }
 
-func (c AdmissionConfig) withDefaults() AdmissionConfig {
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = 256
+// levelFor maps a saturation score to a brownout level (0 = healthy).
+func levelFor(score float64) int {
+	switch {
+	case score >= shedAt:
+		return 3
+	case score >= cacheOnlyAt:
+		return 2
+	case score >= noHedgeAt:
+		return 1
+	default:
+		return 0
 	}
-	if c.NoHedgeAt <= 0 {
-		c.NoHedgeAt = 0.75
-	}
-	if c.CacheOnlyAt <= 0 {
-		c.CacheOnlyAt = 1.0
-	}
-	if c.ShedAt <= 0 {
-		c.ShedAt = 1.25
-	}
-	if c.Alpha <= 0 || c.Alpha >= 1 {
-		c.Alpha = 0.2
-	}
-	return c
 }
 
 // admissionGate is the lock-free saturation tracker behind the brownout
-// levels: an in-flight read counter plus a stochastic EWMA estimate of the
-// read-latency p99.
+// levels. The queue-depth signal is read live on every admission; the
+// latency signal is a windowed p99 the control job publishes once per tick,
+// together with the level it implies. That level changes at most once per
+// brownoutDwell, so it never flaps with the noise of individual windows.
 type admissionGate struct {
 	cfg      AdmissionConfig
 	inflight atomic.Int64
-	p99bits  atomic.Uint64 // math.Float64bits of the p99 estimate in ns
-	// override, when ≥ 0, pins the brownout level: the saturation analyzer
-	// drives it from windowed measurements instead of the gate's built-in
-	// instantaneous score. -1 means the gate decides on its own.
-	override atomic.Int32
+	p99      atomic.Int64 // last windowed read p99 in ns
+	latLevel atomic.Int32 // dwell-limited level of the latency signal
+
+	// Dwell state; touched only by the control job.
+	lastShift time.Time
+	shifted   bool // false until the first transition (no dwell before it)
 }
 
 func newAdmissionGate(cfg AdmissionConfig) *admissionGate {
-	g := &admissionGate{cfg: cfg.withDefaults()}
-	g.override.Store(-1)
-	return g
-}
-
-// setOverride pins (level ≥ 0) or releases (level < 0) the brownout level.
-func (g *admissionGate) setOverride(level int) {
-	if level > 3 {
-		level = 3
+	if cfg.MaxInFlight <= 0 {
+		cfg.MaxInFlight = 256
 	}
-	g.override.Store(int32(level))
+	return &admissionGate{cfg: cfg}
 }
 
 func (g *admissionGate) enter() { g.inflight.Add(1) }
 
 func (g *admissionGate) leave() { g.inflight.Add(-1) }
 
-// observe folds one served-read latency into the p99 estimate using the
-// asymmetric-EWMA quantile tracker: samples above the estimate pull it up
-// with weight alpha, samples below push it down with weight alpha/99, so
-// the estimate settles near the 99th percentile without keeping a
-// histogram. The very first sample seeds the estimate directly — warming
-// up from zero would take ~1/Alpha samples, leaving the latency signal
-// blind exactly during a cold-start stampede. Shed reads are not observed —
-// their fast failures would drag the estimate down and make the gate flap
-// open.
-func (g *admissionGate) observe(d time.Duration) {
-	sample := float64(d)
-	for {
-		old := g.p99bits.Load()
-		est := math.Float64frombits(old)
-		var next float64
-		switch {
-		case old == 0:
-			// Unseeded (Float64bits(0) == 0): adopt the first sample whole.
-			next = sample
-		case sample > est:
-			next = est + g.cfg.Alpha*(sample-est)
-		default:
-			next = est + g.cfg.Alpha/99*(sample-est)
-		}
-		if g.p99bits.CompareAndSwap(old, math.Float64bits(next)) {
-			return
-		}
-	}
+// queueScore is the live queue-depth signal.
+func (g *admissionGate) queueScore() float64 {
+	return float64(g.inflight.Load()) / float64(g.cfg.MaxInFlight)
 }
 
 // score is the saturation pressure: the worse of the queue-depth and
-// latency signals.
+// windowed-latency signals, each normalised by its target.
 func (g *admissionGate) score() float64 {
-	s := float64(g.inflight.Load()) / float64(g.cfg.MaxInFlight)
+	s := g.queueScore()
 	if g.cfg.LatencyTarget > 0 {
-		if ls := math.Float64frombits(g.p99bits.Load()) / float64(g.cfg.LatencyTarget); ls > s {
+		if ls := float64(g.p99.Load()) / float64(g.cfg.LatencyTarget); ls > s {
 			s = ls
 		}
 	}
 	return s
 }
 
-// level maps the current score to a brownout level (0 = healthy). When the
-// saturation analyzer has pinned a level, that wins.
+// level is the current brownout level: the worse of the live queue-depth
+// level and the dwell-limited latency level.
 func (g *admissionGate) level() int {
-	if o := g.override.Load(); o >= 0 {
-		return int(o)
+	l := levelFor(g.queueScore())
+	if ll := int(g.latLevel.Load()); ll > l {
+		l = ll
 	}
-	switch s := g.score(); {
-	case s >= g.cfg.ShedAt:
-		return 3
-	case s >= g.cfg.CacheOnlyAt:
-		return 2
-	case s >= g.cfg.NoHedgeAt:
-		return 1
-	default:
-		return 0
+	return l
+}
+
+// observeWindow records one window's read p99 and moves the latency level
+// to the one it implies; the gate must have a LatencyTarget. A change is
+// applied at most once per brownoutDwell, in either direction; the first
+// change applies at once so a cold-start stampede is not ignored for a
+// dwell. It reports whether the level changed.
+func (g *admissionGate) observeWindow(now time.Time, p99 time.Duration) bool {
+	g.p99.Store(int64(p99))
+	want := levelFor(float64(p99) / float64(g.cfg.LatencyTarget))
+	if want == int(g.latLevel.Load()) || (g.shifted && now.Sub(g.lastShift) < brownoutDwell) {
+		return false
 	}
+	g.latLevel.Store(int32(want))
+	g.lastShift = now
+	g.shifted = true
+	return true
 }
 
 // SaturationLevel reports the admission gate's current brownout level:
@@ -179,58 +158,23 @@ func (c *Controller) SaturationScore() float64 {
 	return c.adm.score()
 }
 
-// lowValueFiles marks the files whose planned arrival rate is strictly
-// below the median — the reads the deepest brownout level sheds first,
-// because the plan assigns them the least latency value. When ties at the
-// median swallow the bottom half (fewer than ⌊n/2⌋ files are strictly
-// below it — e.g. two files at identical rates), the strict rule would
-// leave level 3 with nothing to shed even under hard saturation, so it
-// falls back to marking the bottom ⌊n/2⌋ files by rank (ties broken by
-// file ID).
+// lowValueFiles marks the bottom ⌊n/2⌋ files by planned arrival rate (ties
+// broken by file ID) — the reads the deepest brownout level sheds first,
+// because the plan assigns them the least latency value. Ranking instead of
+// comparing against the median keeps level 3 able to shed when ties at the
+// median would leave nothing strictly below it (e.g. two files at identical
+// rates).
 func lowValueFiles(lambdas []float64) []bool {
-	n := len(lambdas)
-	if n == 0 {
+	if len(lambdas) == 0 {
 		return nil
 	}
-	sorted := append([]float64(nil), lambdas...)
-	// Insertion sort: plans are per time bin, n is the file count; avoiding
-	// the sort import keeps this allocation-only.
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	median := sorted[n/2]
-	low := make([]bool, n)
-	marked := 0
-	for i, l := range lambdas {
-		if l < median {
-			low[i] = true
-			marked++
-		}
-	}
-	if marked >= n/2 {
-		return low
-	}
-	// Tie fallback: rank files by (rate, ID) and mark the bottom ⌊n/2⌋.
-	idx := make([]int, n)
+	idx := make([]int, len(lambdas))
 	for i := range idx {
 		idx[i] = i
 	}
-	for i := 1; i < n; i++ {
-		for j := i; j > 0; j-- {
-			a, b := idx[j], idx[j-1]
-			if lambdas[a] < lambdas[b] || (lambdas[a] == lambdas[b] && a < b) {
-				idx[j], idx[j-1] = idx[j-1], idx[j]
-			} else {
-				break
-			}
-		}
-	}
-	for i := range low {
-		low[i] = false
-	}
-	for _, f := range idx[:n/2] {
+	slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(lambdas[a], lambdas[b]) })
+	low := make([]bool, len(lambdas))
+	for _, f := range idx[:len(idx)/2] {
 		low[f] = true
 	}
 	return low

@@ -7,6 +7,14 @@ import (
 	"sprout/internal/optimizer"
 )
 
+// Autoscaler hysteresis band: a file is cold when its measured rate falls
+// below coldRatio × its planned rate, and hot (eligible to regrow) when it
+// is at least hotRatio × its planned rate.
+const (
+	coldRatio = 0.1
+	hotRatio  = 0.5
+)
+
 // AutoscaleConfig tunes the cache autoscaler: a continuous actuator that
 // grows and shrinks each file's functional-cache allocation between replans,
 // driven by the same windowed EWMA rates that feed the auto-replanner. The
@@ -23,40 +31,25 @@ import (
 //     that turns hotter than anything in the plan — a viral flip — is
 //     granted the chunk budget freed by cold files, capped at its k.
 //
-// The cold/hot thresholds are deliberately separated (ColdRatio well below
-// HotRatio) and shrinks require ColdWindows consecutive cold evaluations, so
+// The cold/hot thresholds are deliberately separated (coldRatio well below
+// hotRatio) and shrinks require ColdWindows consecutive cold evaluations, so
 // a file oscillating around one threshold never flaps: growing resets the
 // cold streak, and another shrink needs the full dwell again.
 type AutoscaleConfig struct {
-	// Interval is the evaluation cadence (and the EWMA fold cadence when the
-	// autoscaler owns the estimator). Default 200ms.
+	// Interval is the evaluation cadence, which also becomes the control
+	// job's tick (and so the estimator's fold cadence). Default 200ms.
 	Interval time.Duration
-	// ColdRatio: a file is cold when its measured rate falls below
-	// ColdRatio × its planned rate. Default 0.1.
-	ColdRatio float64
-	// HotRatio: a file is hot (eligible to regrow) when its measured rate is
-	// at least HotRatio × its planned rate. Default 0.5.
-	HotRatio float64
 	// MinRate is the absolute rate floor (req/s): below it a file is cold
 	// regardless of plan, and no file is considered hot. Default 0.05.
 	MinRate float64
 	// ColdWindows is how many consecutive cold evaluations a file must
 	// accumulate before it is scaled to zero. Default 3.
 	ColdWindows int
-	// EWMAAlpha is the weight of the newest window in the rate estimate when
-	// the autoscaler owns the estimator. Default ServeOptions.ReplanAlpha.
-	EWMAAlpha float64
 }
 
 func (cfg AutoscaleConfig) withDefaults() AutoscaleConfig {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 200 * time.Millisecond
-	}
-	if cfg.ColdRatio <= 0 {
-		cfg.ColdRatio = 0.1
-	}
-	if cfg.HotRatio <= 0 {
-		cfg.HotRatio = 0.5
 	}
 	if cfg.MinRate <= 0 {
 		cfg.MinRate = 0.05
@@ -85,26 +78,15 @@ type autoscaler struct {
 	targetMu   sync.Mutex
 	target     []int // current per-file allocation targets
 	coldStreak []int
-
-	// owner/budgets mirror the controller's tenant cache-budget partition:
-	// owner[fileID] indexes budgets, the per-tenant chunk shares. Nil when
-	// no split is configured — the budget is then one shared pool.
-	owner   []int
-	budgets []int
 }
 
 func newAutoscaler(c *Controller, cfg AutoscaleConfig) *autoscaler {
-	a := &autoscaler{
+	return &autoscaler{
 		c:          c,
 		cfg:        cfg.withDefaults(),
 		target:     make([]int, len(c.files)),
 		coldStreak: make([]int, len(c.files)),
 	}
-	if c.tenantOwner != nil {
-		a.owner = c.tenantOwner
-		a.budgets = optimizer.SplitBudgets(c.capacity, c.tenantShares)
-	}
-	return a
 }
 
 // reset re-derives the overlay from a fresh plan: a replan is the
@@ -126,33 +108,23 @@ func (a *autoscaler) reset(ep *epoch) {
 	}
 }
 
-// freeBudgetFor is the chunk budget a grow of fileID may draw on: the whole
-// unclaimed capacity without a tenant split, or — with one — the unclaimed
-// slice of the owning tenant's share, so a viral file regrows only within
-// its tenant's budget and can never squeeze another tenant's working set.
+// freeBudgetFor is the chunk budget a grow of fileID may draw on: the
+// unclaimed slice of the owning tenant's share when the budget is split, so
+// a viral file regrows only within its tenant's budget and can never
+// squeeze another tenant's working set; the whole unclaimed capacity
+// otherwise.
 func (a *autoscaler) freeBudgetFor(fileID int) int {
-	if a.owner == nil {
-		used := 0
-		for _, t := range a.target {
-			used += t
-		}
-		return clampFloor(a.c.capacity - used)
+	owner := a.c.tenantOwner
+	budget := a.c.capacity
+	if owner != nil {
+		budget = a.c.tenantBudgets[owner[fileID]]
 	}
-	tenant := a.owner[fileID]
-	used := 0
-	for i, t := range a.owner {
-		if t == tenant {
-			used += a.target[i]
+	for i, t := range a.target {
+		if owner == nil || owner[i] == owner[fileID] {
+			budget -= t
 		}
 	}
-	return clampFloor(a.budgets[tenant] - used)
-}
-
-func clampFloor(v int) int {
-	if v < 0 {
-		return 0
-	}
-	return v
+	return max(budget, 0)
 }
 
 // step runs one evaluation against the measured per-file rates.
@@ -168,7 +140,7 @@ func (a *autoscaler) step(rates []float64) {
 	// Shrink pass: track cold streaks and scale long-cold files to zero.
 	for i := range a.target {
 		cold := rates[i] < a.cfg.MinRate
-		if !cold && a.planned[i] > 0 && rates[i] < a.cfg.ColdRatio*a.planned[i] {
+		if !cold && a.planned[i] > 0 && rates[i] < coldRatio*a.planned[i] {
 			cold = true
 		}
 		if !cold {
@@ -188,9 +160,9 @@ func (a *autoscaler) step(rates []float64) {
 			continue
 		}
 		want := a.plan.D[i]
-		if rates[i] < a.cfg.HotRatio*a.planned[i] {
+		if rates[i] < hotRatio*a.planned[i] {
 			// Lukewarm: below the hot threshold the overlay holds steady —
-			// the gap between ColdRatio and HotRatio is the hysteresis band.
+			// the gap between coldRatio and hotRatio is the hysteresis band.
 			continue
 		}
 		if want == 0 && rates[i] > a.maxPlanned {
@@ -249,18 +221,6 @@ func (a *autoscaler) grow(fileID, want int) {
 	a.coldStreak[fileID] = 0
 	c.stats.autoscaleUps.Add(1)
 	c.stats.autoscaleGranted.Add(int64(granted))
-}
-
-// registerAutoscaleJob installs the autoscaler on the shared scheduler:
-// each tick folds the estimator at the autoscale cadence and runs one
-// overlay evaluation.
-func (c *Controller) registerAutoscaleJob(a *autoscaler) {
-	last := time.Now()
-	c.registerJob("autoscale", a.cfg.Interval, func(now time.Time) {
-		rates := c.est.Tick(now.Sub(last).Seconds())
-		last = now
-		a.step(rates)
-	})
 }
 
 // AutoscaleTargets returns the autoscaler's current per-file allocation

@@ -107,25 +107,3 @@ func BenchmarkControllerRead(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkControllerReadSequentialFetch is the seed-style serialised fetch
-// baseline for A/B comparison with BenchmarkControllerRead.
-func BenchmarkControllerReadSequentialFetch(b *testing.B) {
-	ctrl, store := benchController(b, 64, 0, ServeOptions{SequentialFetch: true})
-	defer ctrl.Close()
-	ctx := context.Background()
-	var seq atomic.Int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		var buf []byte
-		for pb.Next() {
-			fileID := int(seq.Add(1)) % 64
-			payload, err := ctrl.ReadInto(ctx, fileID, store, buf)
-			if err != nil {
-				b.Fatal(err)
-			}
-			buf = payload
-		}
-	})
-}

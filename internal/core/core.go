@@ -15,7 +15,7 @@
 //     concurrently (optionally hedging stragglers), and records statistics
 //     in atomic counters and a latency histogram.
 //   - The control plane (PlanTimeBin, the background fill workers, and the
-//     auto-replanner) serialises on a mutex and publishes each change as a
+//     control job) serialises on a mutex and publishes each change as a
 //     fresh epoch snapshot.
 package core
 
@@ -118,12 +118,6 @@ type FileMeta struct {
 // value fetches chunks in parallel without hedging, runs two background fill
 // workers, and leaves auto-replanning off.
 type ServeOptions struct {
-	// SequentialFetch restores the seed behaviour of fetching storage chunks
-	// one at a time. Kept as the measured baseline for A/B benchmarks. It
-	// takes precedence over hedging: the serialised loop never arms the
-	// hedge timer, so HedgeDelay/HedgeExtra are zeroed when it is set.
-	SequentialFetch bool
-
 	// HedgeDelay, when positive, arms a timer per read: if the read has not
 	// gathered its chunks when the timer fires, up to HedgeExtra additional
 	// fetches are launched against other nodes holding chunks of the file,
@@ -141,14 +135,15 @@ type ServeOptions struct {
 	FillQueue int
 
 	// ReplanInterval, when positive, starts the auto-replanner: every
-	// interval the EWMA workload estimator folds the observed request rates,
-	// and when they deviate from the planned rates by more than
-	// ReplanThreshold the controller re-runs PlanTimeBin on its own.
+	// interval the control job checks whether the EWMA estimate of the
+	// observed request rates deviates from the planned rates by more than
+	// ReplanThreshold, and if so re-runs PlanTimeBin on its own.
 	ReplanInterval time.Duration
 	// ReplanThreshold is the relative rate change that triggers a replan.
 	// Default 0.25.
 	ReplanThreshold float64
-	// ReplanAlpha is the EWMA weight of the newest interval. Default 0.3.
+	// ReplanAlpha is the EWMA weight of the newest control tick in the rate
+	// estimate. Default 0.3.
 	ReplanAlpha float64
 
 	// Breakers, when set, holds per-node circuit breakers consulted by the
@@ -165,19 +160,12 @@ type ServeOptions struct {
 	// need storage fetches (ErrSaturated).
 	Admission *AdmissionConfig
 
-	// Analyzer, when set, starts the saturation analyzer: a collector
-	// goroutine that samples queue depth and windowed latency histograms and
-	// drives the admission gate's brownout level from those measurements
-	// (with dwell hysteresis) instead of the gate's instantaneous score.
-	// Implies Admission (a default gate is created when Admission is nil).
-	Analyzer *AnalyzerConfig
-
 	// Autoscale, when set, starts the cache autoscaler: between replans it
 	// continuously shrinks long-cold files' cache allocation to zero and
 	// regrows (or virally grants) allocation to files whose measured rate
 	// justifies it. Requires no ReplanInterval, but composes with it: the
-	// autoscaler then owns the estimator fold and the replanner reads the
-	// shared estimate.
+	// control job then ticks at the autoscale cadence and checks replan
+	// drift once per ReplanInterval.
 	Autoscale *AutoscaleConfig
 
 	// Logf, when set, receives diagnostics from the background planes
@@ -185,12 +173,12 @@ type ServeOptions struct {
 	Logf func(format string, args ...any)
 
 	// Tick, when set, is a shared scheduler the controller registers its
-	// periodic jobs (replan, autoscale, analyzer) on instead of running its
-	// own — one process-wide goroutine and timer batch every subsystem's
-	// maintenance. The caller owns the scheduler's lifetime; Close only
-	// unregisters the controller's jobs. At most one controller may share a
-	// given scheduler (job names are fixed). Nil means the controller owns
-	// a private scheduler when any periodic plane is enabled.
+	// control job (estimator fold, autoscale, replan, brownout level) on
+	// instead of running its own — one process-wide goroutine and timer
+	// batch every subsystem's maintenance. The caller owns the scheduler's
+	// lifetime; Close only unregisters the controller's job. Any number of
+	// controllers may share a scheduler. Nil means the controller owns a
+	// private scheduler when it needs a control job.
 	Tick *tick.Scheduler
 
 	// Tenants, when non-empty, makes tenants a first-class serving
@@ -206,9 +194,6 @@ type ServeOptions struct {
 }
 
 func (o ServeOptions) withDefaults() ServeOptions {
-	if o.SequentialFetch {
-		o.HedgeDelay, o.HedgeExtra = 0, 0
-	}
 	if o.HedgeDelay > 0 && o.HedgeExtra <= 0 {
 		o.HedgeExtra = 1
 	}
@@ -298,12 +283,13 @@ type Controller struct {
 
 	// tenants maps tenant names to their QoS state; nil when the QoS plane
 	// is off (ServeOptions.Tenants empty). tenantDefault absorbs unnamed and
-	// unknown tenants. tenantShares/tenantShareNames/tenantOwner describe the
+	// unknown tenants. tenantShares/tenantOwner/tenantBudgets describe the
 	// cache-budget partition (nil when no policy lists files).
 	tenants       map[string]*tenantState
 	tenantDefault *tenantState
 	tenantShares  []optimizer.TenantShare
 	tenantOwner   []int // file -> index into tenantShares; nil when no split
+	tenantBudgets []int // chunk budget per tenantShares entry
 
 	// Reusable fetch-worker free list for the read plane's fan-out: a
 	// mutex-guarded idle stack plus a poison protocol on Close. Spawning
@@ -315,24 +301,23 @@ type Controller struct {
 	fwClosed bool
 	fwWG     sync.WaitGroup
 
-	est *workload.EWMAEstimator // non-nil when auto-replanning
-	// sched batches the controller's periodic maintenance — auto-replan,
-	// autoscale, saturation analysis — onto one goroutine and one timer;
-	// nil when no periodic plane is enabled. A membership change kicks the
-	// "replan-now" job instead of nudging a dedicated channel.
+	est *workload.EWMAEstimator // non-nil when auto-replanning or autoscaling
+	// sched runs the controller's control job (see control.go); nil when
+	// no periodic plane is enabled.
 	sched *tick.Scheduler
 	// ownSched records whether the controller created sched (and must close
 	// it) or borrowed it from ServeOptions.Tick (and must only unregister).
-	ownSched  bool
-	schedJobs []string
-	stopCh    chan struct{}
-	stopOnce  sync.Once
+	ownSched bool
+	// controlJob is the control job's scheduler name, unique per controller.
+	controlJob string
+	// replanKick asks the next control tick to replan at once because
+	// membership changed.
+	replanKick atomic.Bool
+	stopCh     chan struct{}
+	stopOnce   sync.Once
 
 	// adm is the saturation gate; nil when admission control is off.
 	adm *admissionGate
-	// analyzer drives adm's brownout level from windowed measurements; nil
-	// when the saturation analyzer is off.
-	analyzer *analyzer
 	// asc is the cache autoscaler; nil when autoscaling is off.
 	asc *autoscaler
 
@@ -399,10 +384,10 @@ func NewControllerWith(clu *cluster.Cluster, cacheCapacity int, opts optimizer.O
 	if shares, names := tenantShares(serve.Tenants, len(files)); shares != nil {
 		c.tenantShares = shares
 		c.tenantOwner = make([]int, len(files))
-		budgets := optimizer.SplitBudgets(cacheCapacity, shares)
+		c.tenantBudgets = optimizer.SplitBudgets(cacheCapacity, shares)
 		for t, sh := range shares {
 			if ts := c.tenants[names[t]]; ts != nil {
-				ts.cacheShare = budgets[t]
+				ts.cacheShare = c.tenantBudgets[t]
 			}
 			for _, f := range sh.Files {
 				c.tenantOwner[f] = t
@@ -411,9 +396,6 @@ func NewControllerWith(clu *cluster.Cluster, cacheCapacity int, opts optimizer.O
 	}
 	if serve.Admission != nil {
 		c.adm = newAdmissionGate(*serve.Admission)
-	} else if serve.Analyzer != nil {
-		// The analyzer needs a gate to actuate; give it one with defaults.
-		c.adm = newAdmissionGate(AdmissionConfig{})
 	}
 	c.rngPool.New = func() any {
 		return rand.New(rand.NewSource(seed + c.rngSeq.Add(1)))
@@ -424,32 +406,12 @@ func NewControllerWith(clu *cluster.Cluster, cacheCapacity int, opts optimizer.O
 		go c.fillWorker()
 	}
 	if serve.ReplanInterval > 0 || serve.Autoscale != nil {
-		alpha := serve.ReplanAlpha
-		if serve.Autoscale != nil && serve.Autoscale.EWMAAlpha > 0 {
-			alpha = serve.Autoscale.EWMAAlpha
-		}
-		c.est = workload.NewEWMAEstimator(len(files), alpha)
-	}
-	if serve.Tick != nil {
-		c.sched = serve.Tick
-	} else if serve.ReplanInterval > 0 || serve.Autoscale != nil || serve.Analyzer != nil {
-		// All periodic maintenance shares one scheduler goroutine and one
-		// timer: an idle controller does one bounded wakeup per earliest
-		// period instead of one per plane.
-		c.sched = tick.New()
-		c.ownSched = true
-	}
-	if serve.ReplanInterval > 0 {
-		c.registerReplanJobs(serve.ReplanInterval, serve.ReplanThreshold)
+		c.est = workload.NewEWMAEstimator(len(files), serve.ReplanAlpha)
 	}
 	if serve.Autoscale != nil {
 		c.asc = newAutoscaler(c, *serve.Autoscale)
-		c.registerAutoscaleJob(c.asc)
 	}
-	if serve.Analyzer != nil {
-		c.analyzer = newAnalyzer(*serve.Analyzer, c.adm)
-		c.registerAnalyzerJob(c.analyzer)
-	}
+	c.startControlJob()
 	return c, nil
 }
 
@@ -462,9 +424,7 @@ func (c *Controller) Close() error {
 		if c.ownSched {
 			c.sched.Close()
 		} else {
-			for _, name := range c.schedJobs {
-				c.sched.Unregister(name)
-			}
+			c.sched.Unregister(c.controlJob)
 		}
 	}
 	c.fillWG.Wait()
@@ -654,91 +614,6 @@ func (c *Controller) PrefetchCache(ctx context.Context, fetcher ChunkFetcher) er
 		}
 	}
 	return nil
-}
-
-// Estimator returns the workload estimator feeding the auto-replanner, or
-// nil when auto-replanning is off.
-func (c *Controller) Estimator() *workload.EWMAEstimator { return c.est }
-
-// registerJob registers a periodic job and records its name so Close can
-// unregister from a shared scheduler.
-func (c *Controller) registerJob(name string, period time.Duration, fn func(now time.Time)) {
-	c.sched.Register(name, period, fn)
-	c.schedJobs = append(c.schedJobs, name)
-}
-
-// runReplan re-plans the time bin against the given rate estimate, counting
-// errors and successes. Shared by the periodic drift check and the
-// membership-change kick.
-func (c *Controller) runReplan(rates []float64) {
-	if _, err := c.PlanTimeBin(rates); err != nil {
-		c.stats.replanErrors.Add(1)
-		if c.serve.Logf != nil {
-			c.serve.Logf("core: auto-replan: %v", err)
-		}
-		return
-	}
-	c.stats.autoReplans.Add(1)
-}
-
-// registerReplanJobs installs the auto-replanner on the shared scheduler:
-// a periodic drift check, plus a kick-only "replan-now" job a membership
-// change fires so PlanTimeBin re-runs against the new node set without
-// waiting for workload drift.
-func (c *Controller) registerReplanJobs(interval time.Duration, threshold float64) {
-	// Fold counters over measured elapsed time, not the nominal interval:
-	// when a slow PlanTimeBin delays the tick, the counters hold several
-	// intervals of requests and dividing by the interval would inflate the
-	// rate estimate (and cascade into spurious replans). Jobs run
-	// sequentially on the scheduler goroutine, so closure state needs no
-	// locking.
-	last := time.Now()
-	c.registerJob("replan", interval, func(now time.Time) {
-		if c.epoch.Load().plan == nil {
-			// Nothing to adapt until the first manual plan — and don't burn
-			// the estimator's first-tick seeding on the zero counters
-			// accumulated before serving starts.
-			last = now
-			return
-		}
-		var rates []float64
-		if c.asc != nil {
-			// The autoscale job owns the estimator fold at its finer
-			// cadence; the replanner reads the shared estimate.
-			rates = c.est.Rates()
-		} else {
-			rates = c.est.Tick(now.Sub(last).Seconds())
-		}
-		last = now
-		if !c.est.Deviates(threshold) {
-			return
-		}
-		c.runReplan(rates)
-	})
-	c.registerJob("replan-now", 0, func(time.Time) {
-		// Membership changed: re-plan immediately against the new node set,
-		// using the freshest rate estimate (falling back to the rates the
-		// current plan was computed for when the estimator has not folded a
-		// tick yet).
-		ep := c.epoch.Load()
-		if ep.plan == nil {
-			return
-		}
-		rates := c.est.Rates()
-		if !anyPositive(rates) {
-			rates = ep.clu.Lambdas()
-		}
-		c.runReplan(rates)
-	})
-}
-
-func anyPositive(xs []float64) bool {
-	for _, x := range xs {
-		if x > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // chunkIndexOnNode returns the coded-chunk index stored on the given node

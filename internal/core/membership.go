@@ -44,8 +44,9 @@ func (c *Controller) setMembership(nodeID int, down bool) bool {
 	c.stats.membershipChanges.Add(1)
 	c.mu.Unlock()
 
-	if c.est != nil && c.sched != nil {
-		c.sched.Kick("replan-now")
+	if c.serve.ReplanInterval > 0 {
+		c.replanKick.Store(true)
+		c.sched.Kick(c.controlJob)
 	}
 	return true
 }

@@ -88,13 +88,9 @@ func (c *Controller) ReadInto(ctx context.Context, fileID int, fetcher ChunkFetc
 	for attempt := 0; attempt < readMaxAttempts; attempt++ {
 		payload, retryable, err := c.readOnce(ctx, sc, fileID, fetcher, dst, start, level, ts)
 		if err == nil {
-			elapsed := time.Since(start)
-			if c.adm != nil {
-				c.adm.observe(elapsed)
-			}
 			if ts != nil {
 				ts.reads.Add(1)
-				ts.hist.observe(elapsed)
+				ts.hist.observe(time.Since(start))
 			}
 			detach()
 			putReadScratch(sc)
@@ -393,38 +389,7 @@ func (c *Controller) fetchChunkObserved(ctx context.Context, fetcher ChunkFetche
 // read absorbed.
 func (c *Controller) fetchChunks(ctx context.Context, sc *readScratch, fetcher ChunkFetcher, ep *epoch, meta FileMeta, need, level int) (int, error) {
 	healthy := c.candidates(sc, ep, meta)
-	if c.serve.SequentialFetch {
-		return c.fetchSequential(ctx, sc, fetcher, meta.ID, need)
-	}
 	return c.fetchParallel(ctx, sc, fetcher, meta.ID, healthy, need, level)
-}
-
-// fetchSequential is the seed's serialised fetch loop, kept as the measured
-// A/B baseline: one chunk at a time, moving to the next candidate on error.
-func (c *Controller) fetchSequential(ctx context.Context, sc *readScratch, fetcher ChunkFetcher, fileID, need int) (int, error) {
-	fetchErrs := 0
-	got := 0
-	var lastErr error
-	for i := range sc.cands {
-		if got >= need {
-			break
-		}
-		cand := sc.cands[i]
-		data, info, err := c.fetchChunkObserved(ctx, fetcher, fileID, cand)
-		if err != nil {
-			lastErr = fmt.Errorf("core: fetching chunk %d of file %d: %w", cand.chunkIndex, fileID, err)
-			fetchErrs++
-			c.stats.fetchFailovers.Add(1)
-			continue
-		}
-		sc.chunks = append(sc.chunks, erasure.Chunk{Index: cand.chunkIndex, Data: data})
-		sc.infos = append(sc.infos, info)
-		got++
-	}
-	if got < need {
-		return fetchErrs, fetchShortfallError(fileID, got, need, lastErr)
-	}
-	return fetchErrs, nil
 }
 
 // fetchParallel fans the needed chunk fetches out concurrently over

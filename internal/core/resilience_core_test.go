@@ -112,16 +112,23 @@ func TestOverloadPropagatesThroughFailover(t *testing.T) {
 	}
 }
 
-// saturate pushes the admission gate's p99 estimate far past the target so
+// pinWindowP99 stops the controller's control job, so its own windows
+// cannot race or overwrite the pin, and feeds the admission gate one window
+// with the given read p99.
+func pinWindowP99(t *testing.T, ctrl *Controller, p99 time.Duration) {
+	t.Helper()
+	if ctrl.adm == nil || ctrl.sched == nil {
+		t.Fatal("admission gate with a latency target not configured")
+	}
+	ctrl.sched.Close()
+	ctrl.adm.observeWindow(time.Now(), p99)
+}
+
+// saturate pushes the admission gate's windowed p99 far past the target so
 // subsequent reads observe the deepest brownout level.
 func saturate(t *testing.T, ctrl *Controller) {
 	t.Helper()
-	if ctrl.adm == nil {
-		t.Fatal("admission gate not configured")
-	}
-	for i := 0; i < 8; i++ {
-		ctrl.adm.observe(time.Second)
-	}
+	pinWindowP99(t, ctrl, time.Second)
 	if lvl := ctrl.SaturationLevel(); lvl != 3 {
 		t.Fatalf("saturation level = %d, want 3", lvl)
 	}
@@ -220,17 +227,14 @@ func TestAdmissionGateLevels(t *testing.T) {
 	if lvl := g.level(); lvl != 0 {
 		t.Fatalf("level after drain = %d, want 0", lvl)
 	}
-	// Latency signal: pushing the p99 estimate past the target saturates the
-	// gate even with zero in-flight reads; fast reads pull it back down.
-	for i := 0; i < 8; i++ {
-		g.observe(10 * time.Second)
-	}
+	// Latency signal: a windowed p99 past the target saturates the gate even
+	// with zero in-flight reads; a fast window after the dwell releases it.
+	now := time.Unix(1000, 0)
+	g.observeWindow(now, 10*time.Second)
 	if lvl := g.level(); lvl != 3 {
 		t.Fatalf("level under slow p99 = %d, want 3", lvl)
 	}
-	for i := 0; i < 5000; i++ {
-		g.observe(time.Microsecond)
-	}
+	g.observeWindow(now.Add(brownoutDwell), time.Microsecond)
 	if lvl := g.level(); lvl != 0 {
 		t.Fatalf("level after recovery = %d, want 0 (score %v)", lvl, g.score())
 	}
@@ -269,23 +273,26 @@ func TestLowValueFiles(t *testing.T) {
 	}
 }
 
-// TestAdmissionColdStartSeedsFromFirstSample locks in the cold-start fix:
-// the EWMA p99 estimate must adopt the first observed sample outright, so a
-// single slow burst from idle immediately crosses NoHedgeAt instead of
-// taking ~1/Alpha samples to warm from zero.
+// TestAdmissionColdStartSeedsFromFirstSample locks in the cold-start rule:
+// the first slow window applies its level at once — a single slow window
+// from idle crosses the no-hedge threshold without waiting out a dwell —
+// while later windows are dwell-limited.
 func TestAdmissionColdStartSeedsFromFirstSample(t *testing.T) {
 	g := newAdmissionGate(AdmissionConfig{MaxInFlight: 256, LatencyTarget: 50 * time.Millisecond})
-	// One sample exactly at the latency target: score 1.0 ≥ NoHedgeAt (0.75).
-	// Pre-fix the estimate warmed to Alpha·sample = 0.2 → level 0.
-	g.observe(50 * time.Millisecond)
+	now := time.Unix(1000, 0)
+	// One window exactly at the latency target: score 1.0 ≥ 0.75.
+	if !g.observeWindow(now, 50*time.Millisecond) {
+		t.Fatal("first slow window did not change the level")
+	}
 	if lvl := g.level(); lvl < 1 {
-		t.Fatalf("level after one target-latency sample from idle = %d, want ≥ 1 (score %v)", lvl, g.score())
+		t.Fatalf("level after one target-latency window from idle = %d, want ≥ 1 (score %v)", lvl, g.score())
 	}
-	// Subsequent samples must keep using the EWMA, not re-seed: a stream of
-	// fast reads pulls the estimate back down.
-	for i := 0; i < 5000; i++ {
-		g.observe(time.Microsecond)
+	// A fast window inside the dwell holds the level; past it, recovers.
+	g.observeWindow(now.Add(brownoutDwell/2), time.Microsecond)
+	if lvl := g.level(); lvl < 1 {
+		t.Fatalf("level inside the dwell = %d, want held ≥ 1", lvl)
 	}
+	g.observeWindow(now.Add(brownoutDwell), time.Microsecond)
 	if lvl := g.level(); lvl != 0 {
 		t.Fatalf("level after recovery = %d, want 0 (score %v)", lvl, g.score())
 	}

@@ -51,7 +51,7 @@ type counters struct {
 	autoscaleToZero  atomic.Int64
 	autoscaleFreed   atomic.Int64
 	autoscaleGranted atomic.Int64
-	analyzerShifts   atomic.Int64
+	brownoutShifts   atomic.Int64
 }
 
 // Stats exposes counters for observability and the evaluation harness.
@@ -144,9 +144,9 @@ type Stats struct {
 	AutoscaleToZero  int64
 	AutoscaleFreed   int64
 	AutoscaleGranted int64
-	// AnalyzerShifts counts brownout-level transitions applied by the
-	// saturation analyzer.
-	AnalyzerShifts int64
+	// BrownoutShifts counts changes of the admission gate's latency-driven
+	// brownout level.
+	BrownoutShifts int64
 }
 
 // Stats returns a snapshot of the controller counters.
@@ -195,7 +195,7 @@ func (c *Controller) Stats() Stats {
 		AutoscaleToZero:  c.stats.autoscaleToZero.Load(),
 		AutoscaleFreed:   c.stats.autoscaleFreed.Load(),
 		AutoscaleGranted: c.stats.autoscaleGranted.Load(),
-		AnalyzerShifts:   c.stats.analyzerShifts.Load(),
+		BrownoutShifts:   c.stats.brownoutShifts.Load(),
 	}
 }
 
@@ -349,7 +349,7 @@ func (c *Controller) WriteLatency() LatencySnapshot {
 }
 
 // HistogramBuckets exposes the raw buckets behind one latency histogram for
-// the metrics exporter and the saturation analyzer: Counts[i] is the number
+// the metrics exporter and the control job's windowed p99: Counts[i] is the number
 // of observations in [2^(i-1), 2^i) microseconds (bucket 0 holds sub-µs
 // observations, the final bucket overflows). Counts are cumulative over the
 // controller's lifetime; windowed consumers diff successive snapshots.
@@ -380,8 +380,8 @@ func (s HistogramBuckets) Sub(prev HistogramBuckets) HistogramBuckets {
 // by interpolating inside the bucket holding the rank. A rank that lands in
 // the overflow bucket is clamped to the observed maximum rather than the
 // bucket's synthetic ~134s upper bound — returning the bound would fabricate
-// a latency no read ever exhibited (and, fed to the saturation analyzer,
-// slam the gate to its deepest brownout level). When no max was recorded the
+// a latency no read ever exhibited (and, fed to the admission gate, slam
+// it to its deepest brownout level). When no max was recorded the
 // overflow bucket contributes its lower bound instead of its width.
 func (s HistogramBuckets) Quantile(q float64) time.Duration {
 	if s.Count <= 0 {

@@ -144,10 +144,9 @@ func TestTenantPriorityHedging(t *testing.T) {
 	if _, err := ctrl.PlanTimeBin(ctrlLambdas(ctrl)); err != nil {
 		t.Fatal(err)
 	}
-	// Push the latency p99 into the NoHedge band (level 1, below CacheOnly).
-	for i := 0; i < 8; i++ {
-		ctrl.adm.observe(800 * time.Microsecond)
-	}
+	// Push the windowed p99 into the no-hedge band (level 1, below
+	// cache-only).
+	pinWindowP99(t, ctrl, 800*time.Microsecond)
 	if lvl := ctrl.SaturationLevel(); lvl != 1 {
 		t.Fatalf("saturation level = %d, want 1", lvl)
 	}

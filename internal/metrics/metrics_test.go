@@ -4,20 +4,20 @@ import (
 	"math"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
 
+// value registers a label-less family whose collector reports v.
+func value(reg *Registry, name, help string, kind Kind, v float64) {
+	reg.MustRegister(Desc{Name: name, Help: help, Kind: kind},
+		CollectorFunc(func() []Sample { return []Sample{{Value: v}} }))
+}
+
 func TestCounterGaugeRoundTrip(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.NewCounter("sprout_test_ops_total", "ops")
-	g := reg.NewGauge("sprout_test_depth_requests", "queue depth")
-	c.Inc()
-	c.Add(4)
-	c.Add(-3) // ignored: counters only go up
-	g.Set(2.5)
-	g.Add(0.5)
+	value(reg, "sprout_test_ops_total", "ops", KindCounter, 5)
+	value(reg, "sprout_test_depth_requests", "queue depth", KindGauge, 3)
 
 	var sb strings.Builder
 	if err := reg.WriteText(&sb); err != nil {
@@ -46,10 +46,20 @@ func TestCounterGaugeRoundTrip(t *testing.T) {
 
 func TestHistogramBucketsCumulative(t *testing.T) {
 	reg := NewRegistry()
-	h := reg.NewHistogram("sprout_test_latency_seconds", "latency")
+	// Non-cumulative log2 counts for 1µs, 3µs, 1ms and 1s: the exposition
+	// must render them cumulatively, ending at 4 in the +Inf bucket.
+	bounds := Log2UpperBounds()
+	h := &HistValue{UpperBounds: bounds, Counts: make([]uint64, len(bounds)+1), Count: 4}
 	for _, d := range []time.Duration{time.Microsecond, 3 * time.Microsecond, time.Millisecond, time.Second} {
-		h.ObserveSeconds(d.Seconds())
+		b := 0
+		for b < len(bounds) && d.Seconds() > bounds[b] {
+			b++
+		}
+		h.Counts[b]++
+		h.Sum += d.Seconds()
 	}
+	reg.MustRegister(Desc{Name: "sprout_test_latency_seconds", Help: "latency", Kind: KindHistogram},
+		CollectorFunc(func() []Sample { return []Sample{{Hist: h}} }))
 	var sb strings.Builder
 	if err := reg.WriteText(&sb); err != nil {
 		t.Fatal(err)
@@ -157,7 +167,7 @@ func TestParseTextRejectsMalformed(t *testing.T) {
 
 func TestHandlerServesTextFormat(t *testing.T) {
 	reg := NewRegistry()
-	reg.NewCounter("sprout_handler_ops_total", "ops").Add(7)
+	value(reg, "sprout_handler_ops_total", "ops", KindCounter, 7)
 	srv := httptest.NewServer(reg.Handler())
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL)
@@ -174,32 +184,6 @@ func TestHandlerServesTextFormat(t *testing.T) {
 	}
 	if fams["sprout_handler_ops_total"].Samples[0].Value != 7 {
 		t.Error("served counter value wrong")
-	}
-}
-
-func TestHistogramConcurrentObserve(t *testing.T) {
-	var h Histogram
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				h.ObserveSeconds(float64(i) * 1e-6)
-			}
-		}()
-	}
-	wg.Wait()
-	v := h.Value()
-	if v.Count != 8000 {
-		t.Errorf("count = %d, want 8000", v.Count)
-	}
-	var sum uint64
-	for _, c := range v.Counts {
-		sum += c
-	}
-	if sum != 8000 {
-		t.Errorf("bucket sum = %d, want 8000", sum)
 	}
 }
 
@@ -224,8 +208,7 @@ func TestLabelEscaping(t *testing.T) {
 
 func TestGaugeNaNAndInf(t *testing.T) {
 	reg := NewRegistry()
-	g := reg.NewGauge("sprout_inf_ratio", "x")
-	g.Set(math.Inf(1))
+	value(reg, "sprout_inf_ratio", "x", KindGauge, math.Inf(1))
 	var sb strings.Builder
 	if err := reg.WriteText(&sb); err != nil {
 		t.Fatal(err)

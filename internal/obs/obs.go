@@ -31,7 +31,7 @@ import (
 // registers all of them.
 type Sources struct {
 	// Controller bridges read/write counters, latency histograms, the
-	// saturation gate and analyzer, the autoscaler, cache occupancy, and the
+	// saturation gate, the autoscaler, cache occupancy, and the
 	// per-file erasure coders.
 	Controller *core.Controller
 	// TransportClient and TransportServer snapshot each side's wire counters.
@@ -179,7 +179,7 @@ func registerController(r *metrics.Registry, c *core.Controller) {
 		{"sprout_autoscale_to_zero_total", "Autoscaler shrinks that released a file's entire allocation.", func(s core.Stats) int64 { return s.AutoscaleToZero }},
 		{"sprout_autoscale_freed_chunks_total", "Cache chunks released by autoscaler shrinks.", func(s core.Stats) int64 { return s.AutoscaleFreed }},
 		{"sprout_autoscale_granted_chunks_total", "Cache chunk budget handed out by autoscaler grows.", func(s core.Stats) int64 { return s.AutoscaleGranted }},
-		{"sprout_analyzer_shifts_total", "Brownout-level transitions applied by the saturation analyzer.", func(s core.Stats) int64 { return s.AnalyzerShifts }},
+		{"sprout_brownout_shifts_total", "Changes of the admission gate's latency-driven brownout level.", func(s core.Stats) int64 { return s.BrownoutShifts }},
 		{"sprout_tenant_throttled_total", "Reads refused because the calling tenant was over its rate limit.", func(s core.Stats) int64 { return s.TenantThrottled }},
 		{"sprout_priority_hedges_total", "Gold-tenant reads that kept their hedge timer through brownout level 1.", func(s core.Stats) int64 { return s.PriorityHedges }},
 	} {
@@ -234,16 +234,6 @@ func registerController(r *metrics.Registry, c *core.Controller) {
 		func() float64 { return c.SaturationScore() })
 	gauge(r, "sprout_inflight_reads_requests", "Reads currently inside the admission gate.",
 		func() float64 { return float64(c.InFlightReads()) })
-	r.MustRegister(metrics.Desc{
-		Name: "sprout_analyzer_score_ratio", Help: "Saturation analyzer's last windowed score.",
-		Kind: metrics.KindGauge,
-	}, metrics.CollectorFunc(func() []metrics.Sample {
-		s := c.AnalyzerScore()
-		if s != s { // NaN: analyzer off or no window folded yet
-			return nil
-		}
-		return []metrics.Sample{{Value: s}}
-	}))
 
 	cache := c.Cache()
 	gauge(r, "sprout_cache_used_chunks", "Functional-cache chunks currently resident.",

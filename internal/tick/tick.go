@@ -1,9 +1,9 @@
 // Package tick coalesces the control plane's periodic work onto one
-// goroutine and one timer. Before it, every maintenance loop — the
-// saturation analyzer, the cache autoscaler, the auto-replanner, the
-// transport server's staged-put janitor, the repair scanner — owned a
-// goroutine parked in its own time.Ticker select, so an idle server woke
-// up five times per interval set just to decide there was nothing to do.
+// goroutine and one timer. Without it, every maintenance loop — each
+// controller's control job, the transport server's staged-put janitor,
+// the repair scanner — would own a goroutine parked in its own
+// time.Ticker select, so an idle server would wake once per loop just to
+// decide there was nothing to do.
 // A Scheduler tracks every job's next due time, sleeps until the
 // earliest one, and runs due jobs sequentially on its single goroutine.
 //
