@@ -1,21 +1,20 @@
 // Command sproutstore runs the emulated Ceph-like object store, either as a
-// TCP server speaking the multiplexed binary protocol, as a load-generating
-// client against such a server, as a self-contained demo that starts a
-// server, writes objects through erasure-coded pools and reads them back
-// through both the LRU cache tier and the functional-caching equivalent
-// pools, or as a live Sprout controller serving reads over the emulated
-// OSDs with hedged parallel fetches and the auto-replanner.
+// live Sprout deployment (the default ctrl mode: N >= 1 shard controllers
+// behind the read/write router serving reads over the emulated OSDs with
+// hedged parallel fetches and the auto-replanner), as a TCP server speaking
+// the multiplexed binary protocol, or as a load-generating client against
+// such a server. examples/cephcluster compares the LRU cache tier with
+// functional caching over TCP.
 //
 // Usage:
 //
-//	sproutstore -mode serve -addr 127.0.0.1:7440 -workers 16 -inflight 512
-//	sproutstore -mode serve -chaos "2:lat=30ms;2:err=0.2;5:stall=1s;7:drop"
-//	sproutstore -mode load -target 127.0.0.1:7440 -clients 64 -conns 4
-//	sproutstore -mode demo
 //	sproutstore -mode ctrl -clients 8 -duration 3s -hedge-delay 10ms -replan-every 500ms
 //	sproutstore -mode ctrl -duration 3s -fail "500ms:2,5" -recover "2s:2" -lose
 //	sproutstore -mode ctrl -controllers 4 -clients 32 -duration 3s
+//	sproutstore -mode serve -addr 127.0.0.1:7440 -workers 16 -inflight 512
+//	sproutstore -mode serve -chaos "2:lat=30ms;2:err=0.2;5:stall=1s;7:drop"
 //	sproutstore -mode serve -controllers 4   # shard endpoints alongside the store
+//	sproutstore -mode load -target 127.0.0.1:7440 -clients 64 -conns 4
 package main
 
 import (
@@ -23,7 +22,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -50,11 +51,11 @@ import (
 
 func main() {
 	var (
-		mode    = flag.String("mode", "demo", "serve, load, demo, or ctrl")
+		mode    = flag.String("mode", "ctrl", "ctrl, serve, or load")
 		addr    = flag.String("addr", "127.0.0.1:0", "listen address in serve mode")
 		osds    = flag.Int("osds", 12, "number of OSDs")
-		objects = flag.Int("objects", 20, "demo/ctrl: objects written into the pools")
-		objSize = flag.Int("size", 1<<20, "demo/ctrl: object size in bytes")
+		objects = flag.Int("objects", 20, "ctrl/serve: objects written into the pool")
+		objSize = flag.Int("size", 1<<20, "ctrl/serve: object size in bytes")
 
 		// Server admission control and fault injection.
 		workers   = flag.Int("workers", 0, "serve: handler pool size (0 = default)")
@@ -69,8 +70,8 @@ func main() {
 		writeFrac = flag.Float64("writefrac", 0, "load: fraction of requests that are striped writes (0..1)")
 
 		// Controller serving path (ctrl mode).
-		controllers = flag.Int("controllers", 1, "ctrl/serve: shard controllers behind the consistent-hash router (1 = unsharded)")
-		cacheChunks = flag.Int("cache", 0, "ctrl: functional-cache capacity in chunks (0 = 3 per object)")
+		controllers = flag.Int("controllers", 1, "ctrl: shard controllers behind the consistent-hash router; serve: shard endpoints beside the store when > 1")
+		cacheChunks = flag.Int("cache", 0, "ctrl/serve: functional-cache capacity in chunks, split across shards (0 = 3 per object)")
 		hedgeDelay  = flag.Duration("hedge-delay", 10*time.Millisecond, "ctrl: hedge timer for straggling fetches (0 disables)")
 		hedgeExtra  = flag.Int("hedge-extra", 1, "ctrl: max extra hedged fetches per read")
 		fillWorkers = flag.Int("fill-workers", 2, "ctrl: background cache-fill workers")
@@ -100,27 +101,18 @@ func main() {
 		return
 	}
 
-	cluster, err := objstore.NewCluster(objstore.ClusterConfig{
-		NumOSDs:            *osds,
-		Services:           []queue.Dist{queue.ShiftedExponential{Shift: 0.002, Rate: 500}},
-		RefChunkSize:       int64(*objSize / 4),
-		CacheService:       queue.Deterministic{Value: 0.0005},
-		CacheCapacityBytes: int64(*objects) * int64(*objSize) / 4,
-		Seed:               1,
-	})
-	if err != nil {
-		fail(err)
-	}
-	if _, err := cluster.CreatePool("ec-7-4", 7, 4); err != nil {
-		fail(err)
-	}
-	pools, err := cluster.CreateEquivalentPools("eq", 7, 4)
+	cluster, err := newCluster(*osds, *objSize)
 	if err != nil {
 		fail(err)
 	}
 
 	switch *mode {
 	case "serve":
+		// The equivalent-code pools eq-0..eq-3 let remote clients repeat the
+		// paper's functional-caching methodology (see examples/cephcluster).
+		if _, err := cluster.CreateEquivalentPools("eq", 7, 4); err != nil {
+			fail(err)
+		}
 		chaos, err := parseChaosRules(*chaosSpec)
 		if err != nil {
 			fail(fmt.Errorf("-chaos: %w", err))
@@ -132,41 +124,50 @@ func main() {
 			// Clients that die between BeginPut and CommitObject must not
 			// leak staged chunks on a long-running server.
 			StagedPutTTL: time.Minute,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, format+"\n", args...)
-			},
+			Logf:         logf,
 		})
 		bound, err := srv.Listen(*addr)
 		if err != nil {
 			fail(err)
 		}
-		if *metricsAddr != "" {
-			src := obs.Sources{
-				TransportServer: srv.Stats,
-				OSDHealth:       cluster.Health,
-				Runtime:         true,
-				Pools:           []obs.PoolSource{transport.FrameArena(), erasure.StripeScratchPool()},
-				Rings:           []obs.RingSource{{Name: "transport_work", Stats: srv.WorkQueueStats}},
-			}
-			if chaos != nil {
-				src.Chaos = chaos.Stats
-			}
-			serveMetrics(*metricsAddr, src)
-		}
 		fmt.Printf("sproutstore: serving object store on %s (pools: ec-7-4, eq-0..eq-3)\n", bound)
 		if chaos != nil {
 			fmt.Printf("sproutstore: chaos rules active: %s\n", *chaosSpec)
 		}
+		src := obs.Sources{
+			TransportServer: srv.Stats,
+			OSDHealth:       cluster.Health,
+			Runtime:         true,
+			Pools:           []obs.PoolSource{transport.FrameArena(), erasure.StripeScratchPool()},
+			Rings:           []obs.RingSource{{Name: "transport_work", Stats: srv.WorkQueueStats}},
+		}
+		if chaos != nil {
+			src.Chaos = chaos.Stats
+		}
 		if *controllers > 1 {
-			rt, eps, err := serveShardEndpoints(cluster, *controllers, *objects, *objSize, *workers)
+			pool, err := cluster.Pool("ec-7-4")
 			if err != nil {
 				fail(err)
 			}
-			defer rt.Close()
+			r := router.New(router.Options{FanoutWorkers: 2})
+			defer r.Close()
+			p, eps, err := serveShards(pool, r, *controllers, *objects, *objSize, *cacheChunks, *workers)
+			if err != nil {
+				fail(err)
+			}
+			defer p.close()
 			for i, ep := range eps {
-				fmt.Printf("sproutstore: shard shard-%d serving controller ops on %s\n", i, ep.Addr())
+				fmt.Printf("sproutstore: shard %s serving controller ops on %s\n", p.ids[i], ep.Addr())
 				defer ep.Close()
 			}
+			src.Shards = p.shardSources()
+		}
+		if *metricsAddr != "" {
+			ms, err := serveMetrics(*metricsAddr, src)
+			if err != nil {
+				fail(err)
+			}
+			defer ms.Close()
 		}
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
@@ -181,8 +182,6 @@ func main() {
 			fmt.Printf("sproutstore: chaos injected %d delays, %d errors, %d stalls; dropped %d requests / %d replies\n",
 				cs.DelaysInjected, cs.ErrorsInjected, cs.Stalls, cs.RequestsDropped, cs.RepliesDropped)
 		}
-	case "demo":
-		runDemo(cluster, pools, *objects, *objSize)
 	case "ctrl":
 		failEvents, err := parseOSDEvents(*failSpec)
 		if err != nil {
@@ -192,8 +191,7 @@ func main() {
 		if err != nil {
 			fail(fmt.Errorf("-recover: %w", err))
 		}
-		runCtrl(cluster, ctrlConfig{
-			osds:          *osds,
+		if _, err := runCtrl(cluster, ctrlConfig{
 			controllers:   *controllers,
 			objects:       *objects,
 			objSize:       *objSize,
@@ -212,19 +210,36 @@ func main() {
 				FillWorkers:     *fillWorkers,
 				ReplanInterval:  *replanEvery,
 				ReplanThreshold: *replanTh,
-				Logf: func(format string, args ...any) {
-					fmt.Fprintf(os.Stderr, format+"\n", args...)
-				},
+				Logf:            logf,
 			},
-		})
+		}, os.Stdout); err != nil {
+			fail(err)
+		}
 	default:
 		fail(fmt.Errorf("unknown mode %q", *mode))
 	}
 }
 
+// newCluster builds the emulated OSD cluster, with service times calibrated
+// to objSize, and its (7,4) pool ec-7-4.
+func newCluster(osds, objSize int) (*objstore.Cluster, error) {
+	cluster, err := objstore.NewCluster(objstore.ClusterConfig{
+		NumOSDs:      osds,
+		Services:     []queue.Dist{queue.ShiftedExponential{Shift: 0.002, Rate: 500}},
+		RefChunkSize: int64(objSize / 4),
+		Seed:         1,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if _, err := cluster.CreatePool("ec-7-4", 7, 4); err != nil {
+		return nil, err
+	}
+	return cluster, nil
+}
+
 // ctrlConfig gathers the knobs of the controller serving mode.
 type ctrlConfig struct {
-	osds        int
 	controllers int
 	objects     int
 	objSize     int
@@ -314,7 +329,7 @@ func parseChaosRules(spec string) (*transport.Chaos, error) {
 			if rule.ErrorRate, err = strconv.ParseFloat(val, 64); err != nil {
 				return nil, fmt.Errorf("rule %q: %w", part, err)
 			}
-			if rule.ErrorRate < 0 || rule.ErrorRate > 1 {
+			if !(rule.ErrorRate >= 0 && rule.ErrorRate <= 1) { // also rejects NaN
 				return nil, fmt.Errorf("rule %q: error rate outside [0, 1]", part)
 			}
 		case "drop":
@@ -333,501 +348,320 @@ func parseChaosRules(spec string) (*transport.Chaos, error) {
 	return chaos, nil
 }
 
-// runCtrl serves Zipf-distributed reads through a Sprout controller whose
-// chunks live in the emulated OSD cluster: parallel (optionally hedged)
-// degraded reads against the calibrated service times, background cache
-// fills, the auto-replanner re-planning from measured rates, and — with
-// -fail/-recover — OSD failures injected under live load with the repair
-// plane reconstructing lost chunks concurrently.
-func runCtrl(oc *objstore.Cluster, cfg ctrlConfig) {
-	if cfg.controllers > 1 {
-		runCtrlSharded(oc, cfg)
-		return
-	}
-	ctx := context.Background()
-	pool, err := oc.Pool("ec-7-4")
-	if err != nil {
-		fail(err)
-	}
+// objName is the object naming scheme of the ingested working set.
+func objName(fileID int) string { return fmt.Sprintf("file-%04d", fileID) }
 
-	// Write every object into the erasure-coded pool; the controller then
-	// reads chunks back through the pool's CRUSH-like placement.
-	fmt.Printf("sproutstore: writing %d objects of %d bytes into ec-7-4...\n", cfg.objects, cfg.objSize)
-	rng := rand.New(rand.NewSource(6))
-	payload := make([]byte, cfg.objSize)
-	objName := func(fileID int) string { return fmt.Sprintf("file-%04d", fileID) }
-	for i := 0; i < cfg.objects; i++ {
-		rng.Read(payload)
-		if err := pool.Put(ctx, objName(i), payload); err != nil {
-			fail(err)
-		}
-	}
-
-	// Export the pool's real topology (same OSD IDs, same per-chunk
-	// placement) to the controller, so membership changes map one to one.
-	lambdas := workload.Zipf(cfg.objects, 1.1, 50)
-	clu, err := pool.ClusterView(lambdas)
-	if err != nil {
-		fail(err)
-	}
-	capacity := cfg.cacheChunks
-	if capacity <= 0 {
-		capacity = 3 * cfg.objects
-	}
-	// One process-wide scheduler batches every periodic plane — the
-	// controller's control job and the repair scan —
-	// onto a single goroutine and timer.
-	sched := tick.New()
-	defer sched.Close()
-	cfg.serve.Tick = sched
-
-	ctrl, err := core.NewControllerWith(clu, capacity, optimizer.Options{MaxOuterIter: 10}, cfg.serve, 1)
-	if err != nil {
-		fail(err)
-	}
-	defer ctrl.Close()
-	fetcher := core.FetcherFunc(func(ctx context.Context, fileID, chunkIndex, _ int) ([]byte, error) {
-		return pool.GetChunk(ctx, objName(fileID), chunkIndex)
-	})
-	if _, err := ctrl.PlanTimeBin(lambdas); err != nil {
-		fail(err)
-	}
-	if err := ctrl.PrefetchCache(ctx, fetcher); err != nil {
-		fail(err)
-	}
-
-	mgr := repair.NewManager(pool, repair.Config{
-		Workers:      cfg.repairWorkers,
-		ScanInterval: cfg.repairScan,
-		Tick:         sched,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
-	})
-	mgr.Start()
-	defer mgr.Close()
-
-	if cfg.metricsAddr != "" {
-		serveMetrics(cfg.metricsAddr, obs.Sources{
-			Controller: ctrl,
-			Repair:     mgr.Stats,
-			OSDHealth:  oc.Health,
-			Runtime:    true,
-			Pools: []obs.PoolSource{
-				core.FillArena(), core.ReadScratchPool(), erasure.StripeScratchPool(),
-			},
-			Rings: []obs.RingSource{
-				{Name: "controller_fill", Stats: ctrl.FillQueueStats},
-				{Name: "repair_wake", Stats: mgr.QueueStats},
-			},
-		})
-	}
-
-	fmt.Printf("sproutstore: serving %d readers for %v (hedge %v +%d, replan every %v)\n",
-		cfg.clients, cfg.duration, cfg.serve.HedgeDelay, cfg.serve.HedgeExtra, cfg.serve.ReplanInterval)
-	picker := workload.NewRatePicker(lambdas)
-	stop := time.Now().Add(cfg.duration)
-	start := time.Now()
-	var reads atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.clients; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(int64(w) + 40))
-			var dst []byte // reused across reads: ReadInto grows it once, then steady-state is zero-alloc
-			for time.Now().Before(stop) {
-				fileID := picker.Pick(r.Float64())
-				out, err := ctrl.ReadInto(ctx, fileID, fetcher, dst)
-				if err != nil {
-					fail(err)
-				}
-				dst = out
-				reads.Add(1)
-			}
-		}(w)
-	}
-
-	// Apply the scheduled failure/recovery events under live load.
-	var injectWG sync.WaitGroup
-	inject := func(events []osdEvent, action func(ids []int)) {
-		for _, ev := range events {
-			injectWG.Add(1)
-			go func(ev osdEvent) {
-				defer injectWG.Done()
-				wait := time.Until(start.Add(ev.after))
-				if wait > 0 {
-					time.Sleep(wait)
-				}
-				action(ev.ids)
-			}(ev)
-		}
-	}
-	inject(cfg.failures, func(ids []int) {
-		if err := oc.FailOSDs(cfg.loseChunks, ids...); err != nil {
-			fmt.Fprintf(os.Stderr, "sproutstore: fail injection: %v\n", err)
-			return
-		}
-		for _, id := range ids {
-			ctrl.SetNodeDown(id)
-		}
-		mgr.Kick()
-		fmt.Printf("sproutstore: failed OSDs %v (lose chunks: %v)\n", ids, cfg.loseChunks)
-	})
-	inject(cfg.recoveries, func(ids []int) {
-		if err := oc.RecoverOSDs(ids...); err != nil {
-			fmt.Fprintf(os.Stderr, "sproutstore: recover injection: %v\n", err)
-			return
-		}
-		for _, id := range ids {
-			ctrl.SetNodeUp(id)
-		}
-		mgr.Kick()
-		fmt.Printf("sproutstore: recovered OSDs %v\n", ids)
-	})
-
-	wg.Wait()
-	injectWG.Wait()
-	ctrl.WaitFills()
-
-	stats := ctrl.Stats()
-	lat := ctrl.ReadLatency()
-	fmt.Printf("served %d reads (%.0f/s)\n", reads.Load(), float64(reads.Load())/cfg.duration.Seconds())
-	fmt.Printf("  cache-hit reads: %6d  p50 %9v  p90 %9v  p99 %9v\n",
-		lat.CacheHit.Count, lat.CacheHit.P50, lat.CacheHit.P90, lat.CacheHit.P99)
-	fmt.Printf("  storage reads:   %6d  p50 %9v  p90 %9v  p99 %9v\n",
-		lat.Storage.Count, lat.Storage.P50, lat.Storage.P90, lat.Storage.P99)
-	fmt.Printf("  degraded reads:  %6d  p50 %9v  p90 %9v  p99 %9v\n",
-		lat.Degraded.Count, lat.Degraded.P50, lat.Degraded.P90, lat.Degraded.P99)
-	fmt.Printf("  chunks: %d from cache, %d from OSDs; %d background fills (%d dropped)\n",
-		stats.ChunksFromCache, stats.ChunksFromDisk, stats.LazyFills, stats.FillsDropped)
-	fmt.Printf("  hedges: %d launched, %d wins; failovers: %d; cache rescues: %d\n",
-		stats.HedgesLaunched, stats.HedgeWins, stats.FetchFailovers, stats.CacheRescues)
-	fmt.Printf("  plans: %d total, %d auto-replans, %d rejected; membership changes: %d\n",
-		stats.PlanUpdates, stats.AutoReplans, stats.ReplanErrors, stats.MembershipChanges)
-	if len(cfg.failures) > 0 {
-		rs := mgr.Stats()
-		degraded := len(pool.DegradedObjects())
-		fmt.Printf("  repair: %d chunks (%d KiB) reconstructed in %v, %d deferred, %d failures; degraded objects left: %d\n",
-			rs.ChunksRepaired, rs.BytesRepaired>>10, rs.RepairTime.Round(time.Millisecond),
-			rs.Deferred, rs.Failures, degraded)
-		down := ctrl.DownNodes()
-		fmt.Printf("  membership: down OSDs at exit: %v\n", down)
-	}
-}
-
-// shardObjName is the object naming scheme shared by the sharded ctrl and
-// serve paths, matching the ingest loop's "file-%04d".
-func shardObjName(fileID int) string { return fmt.Sprintf("file-%04d", fileID) }
-
-// poolShardFetcher adapts the erasure pool's versioned chunk reads to the
+// poolFetcher adapts the erasure pool's versioned chunk reads to the
 // controller fetcher interface, so shard caches learn the stripe version of
 // every chunk they hold and late invalidations can be recognised as stale.
-type poolShardFetcher struct{ pool *objstore.Pool }
+type poolFetcher struct{ pool *objstore.Pool }
 
-func (f *poolShardFetcher) FetchChunk(ctx context.Context, fileID, chunkIndex, nodeID int) ([]byte, error) {
+func (f *poolFetcher) FetchChunk(ctx context.Context, fileID, chunkIndex, nodeID int) ([]byte, error) {
 	data, _, err := f.FetchChunkV(ctx, fileID, chunkIndex, nodeID)
 	return data, err
 }
 
-func (f *poolShardFetcher) FetchChunkV(ctx context.Context, fileID, chunkIndex, _ int) ([]byte, core.StripeInfo, error) {
-	data, version, size, err := f.pool.GetChunkV(ctx, shardObjName(fileID), chunkIndex)
+func (f *poolFetcher) FetchChunkV(ctx context.Context, fileID, chunkIndex, _ int) ([]byte, core.StripeInfo, error) {
+	data, version, size, err := f.pool.GetChunkV(ctx, objName(fileID), chunkIndex)
 	if err != nil {
 		return nil, core.StripeInfo{}, err
 	}
 	return data, core.StripeInfo{Version: version, Size: size}, nil
 }
 
-// poolShardWriter commits whole-object overwrites through the pool and
-// reports the committed stripe version for the invalidation fan-out.
-type poolShardWriter struct{ pool *objstore.Pool }
+// poolWriter commits whole-object overwrites through the pool and reports
+// the committed stripe version for the invalidation fan-out.
+type poolWriter struct{ pool *objstore.Pool }
 
-func (w *poolShardWriter) WriteObject(ctx context.Context, fileID int, data []byte) (uint64, error) {
-	return w.pool.PutV(ctx, shardObjName(fileID), data)
+func (w *poolWriter) WriteObject(ctx context.Context, fileID int, data []byte) (uint64, error) {
+	return w.pool.PutV(ctx, objName(fileID), data)
 }
 
-// runCtrlSharded is runCtrl with the namespace consistent-hash-sharded over
-// cfg.controllers in-process shard controllers behind the read/write router.
-// The total cache budget is split evenly across shards, each shard plans only
-// its owned slice (lambda-masked), and readers go through the router's
-// ownership routing.
-func runCtrlSharded(oc *objstore.Cluster, cfg ctrlConfig) {
+// shardPlane is n shard controllers behind one router over the ec-7-4 pool:
+// the only controller deployment, from one shard (the paper's single
+// proxy) up.
+type shardPlane struct {
+	fetcher  *poolFetcher
+	ids      []string
+	ctrls    []*core.Controller
+	lambdas  []float64
+	perShard int
+}
+
+// newShardPlane ingests the working set into ec-7-4 and puts n in-process
+// controllers behind r, each with an even slice of the cache budget
+// (cacheChunks, or 3 per object when 0). In serve mode endpoint serves each
+// controller over TCP and returns the address the router advertises for it
+// in membership exchanges; ctrl mode passes nil. Once the ring is complete
+// every shard plans and warms only the files it owns; with one shard that
+// is every file.
+func newShardPlane(pool *objstore.Pool, r *router.Router, n, objects, objSize, cacheChunks int,
+	serve core.ServeOptions, endpoint func(id string, ctrl *core.Controller) (string, error)) (*shardPlane, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("-controllers %d: need at least one shard", n)
+	}
+	if err := pool.Fill(context.Background(), objects, objSize, 6, objName); err != nil {
+		return nil, err
+	}
+	p := &shardPlane{fetcher: &poolFetcher{pool: pool}, lambdas: workload.Zipf(objects, 1.1, 50)}
+	clu, err := pool.ClusterView(p.lambdas)
+	if err != nil {
+		return nil, err
+	}
+	if cacheChunks <= 0 {
+		cacheChunks = 3 * objects
+	}
+	p.perShard = max(cacheChunks/n, 1)
+	for i := 0; i < n; i++ {
+		ctrl, err := core.NewControllerWith(clu, p.perShard, optimizer.Options{MaxOuterIter: 10}, serve, int64(i+1))
+		if err != nil {
+			p.close()
+			return nil, err
+		}
+		sh := router.Shard{ID: fmt.Sprintf("shard-%d", i), Ctrl: ctrl}
+		p.ids, p.ctrls = append(p.ids, sh.ID), append(p.ctrls, ctrl)
+		if endpoint != nil {
+			sh.Addr, err = endpoint(sh.ID, ctrl)
+		}
+		if err == nil {
+			err = r.AddShard(sh)
+		}
+		if err != nil {
+			p.close()
+			return nil, err
+		}
+	}
+	err = r.PlanTimeBin(p.lambdas)
+	if err == nil {
+		err = r.PrefetchCache(context.Background(), p.fetcher)
+	}
+	if err != nil {
+		p.close()
+		return nil, err
+	}
+	return p, nil
+}
+
+func (p *shardPlane) close() {
+	for _, ctrl := range p.ctrls {
+		_ = ctrl.Close()
+	}
+}
+
+// serveShards puts n shard controllers behind r, each also served over TCP
+// as an endpoint speaking the controller op set. r is the membership
+// authority remote routers sync from; they send reads and writes to the
+// endpoints and fan invalidations out to peers themselves.
+func serveShards(pool *objstore.Pool, r *router.Router, n, objects, objSize, cacheChunks, workers int) (*shardPlane, []*router.PeerEndpoint, error) {
+	var eps []*router.PeerEndpoint
+	p, err := newShardPlane(pool, r, n, objects, objSize, cacheChunks, core.ServeOptions{},
+		func(id string, ctrl *core.Controller) (string, error) {
+			ep, err := router.ServeShard(ctrl, &poolFetcher{pool: pool}, &poolWriter{pool: pool}, r, "127.0.0.1:0",
+				transport.ServerConfig{Workers: workers, StagedPutTTL: time.Minute})
+			if err != nil {
+				return "", err
+			}
+			eps = append(eps, ep)
+			return ep.Addr(), nil
+		})
+	if err != nil {
+		for _, ep := range eps {
+			_ = ep.Close()
+		}
+		return nil, nil, err
+	}
+	return p, eps, nil
+}
+
+// shardSources names every shard controller for the metrics exporter.
+func (p *shardPlane) shardSources() []obs.ShardSource {
+	out := make([]obs.ShardSource, len(p.ctrls))
+	for i, ctrl := range p.ctrls {
+		out[i] = obs.ShardSource{Shard: p.ids[i], Controller: ctrl}
+	}
+	return out
+}
+
+// metricsSources exports the ctrl deployment: every shard controller under
+// its shard label, next to the router, repair and OSD planes.
+func (p *shardPlane) metricsSources(r *router.Router, oc *objstore.Cluster, mgr *repair.Manager) obs.Sources {
+	return obs.Sources{
+		Shards:    p.shardSources(),
+		Router:    r,
+		Repair:    mgr.Stats,
+		OSDHealth: oc.Health,
+		Runtime:   true,
+		Pools: []obs.PoolSource{
+			core.FillArena(), core.ReadScratchPool(), erasure.StripeScratchPool(),
+		},
+		Rings: []obs.RingSource{{Name: "repair_wake", Stats: mgr.QueueStats}},
+	}
+}
+
+// runCtrl serves Zipf-distributed reads through cfg.controllers shard
+// controllers behind the read/write router, with chunks in the emulated OSD
+// cluster: parallel (optionally hedged) degraded reads against the
+// calibrated service times, background cache fills, the auto-replanner
+// re-planning from measured rates, and — with -fail/-recover — OSD failures
+// injected under live load while the repair plane reconstructs lost chunks.
+// It reports to out and returns the number of reads served. A failed read
+// stops its reader; it and any failed injection are returned as errors.
+func runCtrl(oc *objstore.Cluster, cfg ctrlConfig, out io.Writer) (int64, error) {
 	ctx := context.Background()
 	pool, err := oc.Pool("ec-7-4")
 	if err != nil {
-		fail(err)
+		return 0, err
 	}
-
-	fmt.Printf("sproutstore: writing %d objects of %d bytes into ec-7-4...\n", cfg.objects, cfg.objSize)
-	rng := rand.New(rand.NewSource(6))
-	payload := make([]byte, cfg.objSize)
-	for i := 0; i < cfg.objects; i++ {
-		rng.Read(payload)
-		if err := pool.Put(ctx, shardObjName(i), payload); err != nil {
-			fail(err)
-		}
-	}
-
-	lambdas := workload.Zipf(cfg.objects, 1.1, 50)
-	clu, err := pool.ClusterView(lambdas)
-	if err != nil {
-		fail(err)
-	}
-	capacity := cfg.cacheChunks
-	if capacity <= 0 {
-		capacity = 3 * cfg.objects
-	}
-	perShard := capacity / cfg.controllers
-	if perShard < 1 {
-		perShard = 1
-	}
+	// One process-wide scheduler batches every periodic plane — each
+	// shard's control job and the repair scan — onto a single goroutine and
+	// timer.
 	sched := tick.New()
 	defer sched.Close()
 	cfg.serve.Tick = sched
-
 	r := router.New(router.Options{FanoutWorkers: 2})
 	defer r.Close()
-	ctrls := make([]*core.Controller, cfg.controllers)
-	for i := range ctrls {
-		ctrl, err := core.NewControllerWith(clu, perShard, optimizer.Options{MaxOuterIter: 10}, cfg.serve, int64(i+1))
-		if err != nil {
-			fail(err)
-		}
-		defer ctrl.Close()
-		ctrls[i] = ctrl
-		if err := r.AddShard(router.Shard{ID: fmt.Sprintf("shard-%d", i), Ctrl: ctrl}); err != nil {
-			fail(err)
-		}
+
+	fmt.Fprintf(out, "sproutstore: writing %d objects of %d bytes into ec-7-4...\n", cfg.objects, cfg.objSize)
+	p, err := newShardPlane(pool, r, cfg.controllers, cfg.objects, cfg.objSize, cfg.cacheChunks, cfg.serve, nil)
+	if err != nil {
+		return 0, err
 	}
-	fetcher := &poolShardFetcher{pool: pool}
-	// The router masks each shard's lambdas to its owned files, so every
-	// shard spends its cache slice only on content it actually serves.
-	if err := r.PlanTimeBin(lambdas); err != nil {
-		fail(err)
-	}
-	if err := r.PrefetchCache(ctx, fetcher); err != nil {
-		fail(err)
-	}
+	defer p.close()
 
 	mgr := repair.NewManager(pool, repair.Config{
 		Workers:      cfg.repairWorkers,
 		ScanInterval: cfg.repairScan,
 		Tick:         sched,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
+		Logf:         logf,
 	})
 	mgr.Start()
 	defer mgr.Close()
-
 	if cfg.metricsAddr != "" {
-		shardSrcs := make([]obs.ShardSource, len(ctrls))
-		for i, ctrl := range ctrls {
-			shardSrcs[i] = obs.ShardSource{Shard: fmt.Sprintf("shard-%d", i), Controller: ctrl}
+		ms, err := serveMetrics(cfg.metricsAddr, p.metricsSources(r, oc, mgr))
+		if err != nil {
+			return 0, err
 		}
-		serveMetrics(cfg.metricsAddr, obs.Sources{
-			Router:    r,
-			Shards:    shardSrcs,
-			Repair:    mgr.Stats,
-			OSDHealth: oc.Health,
-			Runtime:   true,
-			Pools: []obs.PoolSource{
-				core.FillArena(), core.ReadScratchPool(), erasure.StripeScratchPool(),
-			},
-			Rings: []obs.RingSource{
-				{Name: "repair_wake", Stats: mgr.QueueStats},
-			},
-		})
+		defer ms.Close()
 	}
 
-	fmt.Printf("sproutstore: serving %d readers for %v across %d shards (cache %d chunks/shard, hedge %v +%d, replan every %v)\n",
-		cfg.clients, cfg.duration, cfg.controllers, perShard,
+	fmt.Fprintf(out, "sproutstore: serving %d readers for %v across %d shards (cache %d chunks/shard, hedge %v +%d, replan every %v)\n",
+		cfg.clients, cfg.duration, cfg.controllers, p.perShard,
 		cfg.serve.HedgeDelay, cfg.serve.HedgeExtra, cfg.serve.ReplanInterval)
-	picker := workload.NewRatePicker(lambdas)
-	stop := time.Now().Add(cfg.duration)
+	picker := workload.NewRatePicker(p.lambdas)
 	start := time.Now()
+	stop := start.Add(cfg.duration)
 	var reads atomic.Int64
+	readErrs := make([]error, cfg.clients)
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.clients; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			rr := rand.New(rand.NewSource(int64(w) + 40))
-			var dst []byte
+			rng := rand.New(rand.NewSource(int64(w) + 40))
+			var dst []byte // reused across reads: ReadInto grows it once, then steady-state is zero-alloc
 			for time.Now().Before(stop) {
-				fileID := picker.Pick(rr.Float64())
-				out, err := r.ReadInto(ctx, fileID, fetcher, dst)
+				data, err := r.ReadInto(ctx, picker.Pick(rng.Float64()), p.fetcher, dst)
 				if err != nil {
-					fail(err)
+					readErrs[w] = fmt.Errorf("reader %d: %w", w, err)
+					return
 				}
-				dst = out
+				dst = data
 				reads.Add(1)
 			}
 		}(w)
 	}
 
+	// Apply the scheduled failure/recovery events under live load, to the
+	// storage plane and to every shard's membership view.
 	var injectWG sync.WaitGroup
-	inject := func(events []osdEvent, action func(ids []int)) {
+	var injectMu sync.Mutex
+	var injectErrs []error
+	inject := func(events []osdEvent, action func(ids []int) error) {
 		for _, ev := range events {
 			injectWG.Add(1)
 			go func(ev osdEvent) {
 				defer injectWG.Done()
-				wait := time.Until(start.Add(ev.after))
-				if wait > 0 {
-					time.Sleep(wait)
+				time.Sleep(time.Until(start.Add(ev.after)))
+				if err := action(ev.ids); err != nil {
+					injectMu.Lock()
+					injectErrs = append(injectErrs, err)
+					injectMu.Unlock()
 				}
-				action(ev.ids)
 			}(ev)
 		}
 	}
-	inject(cfg.failures, func(ids []int) {
+	inject(cfg.failures, func(ids []int) error {
 		if err := oc.FailOSDs(cfg.loseChunks, ids...); err != nil {
-			fmt.Fprintf(os.Stderr, "sproutstore: fail injection: %v\n", err)
-			return
+			return fmt.Errorf("fail injection: %w", err)
 		}
-		for _, ctrl := range ctrls {
+		for _, ctrl := range p.ctrls {
 			for _, id := range ids {
 				ctrl.SetNodeDown(id)
 			}
 		}
 		mgr.Kick()
-		fmt.Printf("sproutstore: failed OSDs %v (lose chunks: %v)\n", ids, cfg.loseChunks)
+		fmt.Fprintf(out, "sproutstore: failed OSDs %v (lose chunks: %v)\n", ids, cfg.loseChunks)
+		return nil
 	})
-	inject(cfg.recoveries, func(ids []int) {
+	inject(cfg.recoveries, func(ids []int) error {
 		if err := oc.RecoverOSDs(ids...); err != nil {
-			fmt.Fprintf(os.Stderr, "sproutstore: recover injection: %v\n", err)
-			return
+			return fmt.Errorf("recover injection: %w", err)
 		}
-		for _, ctrl := range ctrls {
+		for _, ctrl := range p.ctrls {
 			for _, id := range ids {
 				ctrl.SetNodeUp(id)
 			}
 		}
 		mgr.Kick()
-		fmt.Printf("sproutstore: recovered OSDs %v\n", ids)
+		fmt.Fprintf(out, "sproutstore: recovered OSDs %v\n", ids)
+		return nil
 	})
 
 	wg.Wait()
 	injectWG.Wait()
-	for _, ctrl := range ctrls {
+	for _, ctrl := range p.ctrls {
 		ctrl.WaitFills()
 	}
 
 	stats := r.AggregateStats()
-	lat := r.AggregateReadLatency()
 	rs := r.Stats()
-	fmt.Printf("served %d reads (%.0f/s) across %d shards\n",
+	fmt.Fprintf(out, "served %d reads (%.0f/s) across %d shards\n",
 		reads.Load(), float64(reads.Load())/cfg.duration.Seconds(), cfg.controllers)
-	fmt.Printf("  aggregate latency: p50 %9v  p90 %9v  p99 %9v  (mean %v over %d reads)\n",
-		lat.P50, lat.P90, lat.P99, lat.Mean, lat.Count)
-	for i, ctrl := range ctrls {
-		var routed int64
-		for _, s := range rs.Shards {
-			if s.ID == fmt.Sprintf("shard-%d", i) {
-				routed = s.Reads
-			}
-		}
-		cl := ctrl.ReadLatency()
-		cs := ctrl.Stats()
-		fmt.Printf("  shard-%d: %6d routed reads, %d/%d chunks cache/OSD, storage p99 %9v\n",
-			i, routed, cs.ChunksFromCache, cs.ChunksFromDisk, cl.Storage.P99)
+	byClass := r.AggregateReadLatencyBuckets()
+	for _, c := range []struct{ label, class string }{
+		{"cache-hit reads:", "cache_hit"}, {"storage reads:", "storage"}, {"degraded reads:", "degraded"},
+	} {
+		b := byClass[c.class]
+		fmt.Fprintf(out, "  %-16s %6d  p50 %9v  p90 %9v  p99 %9v\n",
+			c.label, b.Count, b.Quantile(0.50), b.Quantile(0.90), b.Quantile(0.99))
 	}
-	fmt.Printf("  chunks: %d from cache, %d from OSDs; %d background fills (%d dropped)\n",
+	routed := map[string]int64{}
+	for _, s := range rs.Shards {
+		routed[s.ID] = s.Reads
+	}
+	for i, ctrl := range p.ctrls {
+		cs := ctrl.Stats()
+		fmt.Fprintf(out, "  %s: %6d routed reads, %d/%d chunks cache/OSD, storage p99 %9v\n",
+			p.ids[i], routed[p.ids[i]], cs.ChunksFromCache, cs.ChunksFromDisk, ctrl.ReadLatency().Storage.P99)
+	}
+	fmt.Fprintf(out, "  chunks: %d from cache, %d from OSDs; %d background fills (%d dropped)\n",
 		stats.ChunksFromCache, stats.ChunksFromDisk, stats.LazyFills, stats.FillsDropped)
-	fmt.Printf("  hedges: %d launched, %d wins; failovers: %d; cache rescues: %d\n",
+	fmt.Fprintf(out, "  hedges: %d launched, %d wins; failovers: %d; cache rescues: %d\n",
 		stats.HedgesLaunched, stats.HedgeWins, stats.FetchFailovers, stats.CacheRescues)
-	fmt.Printf("  plans: %d total, %d auto-replans, %d rejected; ring version %d\n",
-		stats.PlanUpdates, stats.AutoReplans, stats.ReplanErrors, rs.RingVersion)
+	fmt.Fprintf(out, "  plans: %d total, %d auto-replans, %d rejected; membership changes: %d; ring version %d\n",
+		stats.PlanUpdates, stats.AutoReplans, stats.ReplanErrors, stats.MembershipChanges, rs.RingVersion)
 	if rs.InvalidationsSent > 0 || rs.Fanouts > 0 {
-		fmt.Printf("  invalidations: %d sent, %d errors; fan-out p99 %v\n",
+		fmt.Fprintf(out, "  invalidations: %d sent, %d errors; fan-out p99 %v\n",
 			rs.InvalidationsSent, rs.InvalidationErrors, rs.FanoutLatency.P99)
 	}
 	if len(cfg.failures) > 0 {
 		rps := mgr.Stats()
-		degraded := len(pool.DegradedObjects())
-		fmt.Printf("  repair: %d chunks (%d KiB) reconstructed in %v, %d deferred, %d failures; degraded objects left: %d\n",
+		fmt.Fprintf(out, "  repair: %d chunks (%d KiB) reconstructed in %v, %d deferred, %d failures; degraded objects left: %d\n",
 			rps.ChunksRepaired, rps.BytesRepaired>>10, rps.RepairTime.Round(time.Millisecond),
-			rps.Deferred, rps.Failures, degraded)
+			rps.Deferred, rps.Failures, len(pool.DegradedObjects()))
+		fmt.Fprintf(out, "  membership: down OSDs at exit: %v\n", p.ctrls[0].DownNodes())
 	}
-}
-
-// serveShardEndpoints ingests the working set into ec-7-4 and exposes N
-// shard controllers as TCP endpoints speaking the controller op set, next to
-// the plain object-store server. The in-process router is the membership
-// authority remote routers sync from (CtrlMembership); reads and writes
-// arrive at the shard endpoints from remote routers, which fan invalidations
-// out to peers themselves.
-func serveShardEndpoints(oc *objstore.Cluster, shards, objects, objSize, workers int) (*router.Router, []*router.PeerEndpoint, error) {
-	ctx := context.Background()
-	pool, err := oc.Pool("ec-7-4")
-	if err != nil {
-		return nil, nil, err
-	}
-	rng := rand.New(rand.NewSource(6))
-	payload := make([]byte, objSize)
-	for i := 0; i < objects; i++ {
-		rng.Read(payload)
-		if err := pool.Put(ctx, shardObjName(i), payload); err != nil {
-			return nil, nil, err
-		}
-	}
-	lambdas := workload.Zipf(objects, 1.1, 50)
-	clu, err := pool.ClusterView(lambdas)
-	if err != nil {
-		return nil, nil, err
-	}
-	capacity := 3 * objects / shards
-	if capacity < 1 {
-		capacity = 1
-	}
-	fetcher := &poolShardFetcher{pool: pool}
-	writer := &poolShardWriter{pool: pool}
-	r := router.New(router.Options{FanoutWorkers: 2})
-	var eps []*router.PeerEndpoint
-	var ctrls []*core.Controller
-	cleanup := func() {
-		for _, ep := range eps {
-			_ = ep.Close()
-		}
-		for _, ctrl := range ctrls {
-			_ = ctrl.Close()
-		}
-		_ = r.Close()
-	}
-	for i := 0; i < shards; i++ {
-		ctrl, err := core.NewControllerWith(clu, capacity, optimizer.Options{MaxOuterIter: 10}, core.ServeOptions{}, int64(i+1))
-		if err != nil {
-			cleanup()
-			return nil, nil, err
-		}
-		ctrls = append(ctrls, ctrl)
-		ep, err := router.ServeShard(ctrl, fetcher, writer, r, "127.0.0.1:0", transport.ServerConfig{
-			Workers:      workers,
-			StagedPutTTL: time.Minute,
-		})
-		if err != nil {
-			cleanup()
-			return nil, nil, err
-		}
-		eps = append(eps, ep)
-		if err := r.AddShard(router.Shard{ID: fmt.Sprintf("shard-%d", i), Addr: ep.Addr()}); err != nil {
-			cleanup()
-			return nil, nil, err
-		}
-	}
-	// Plan once the ring is complete so each shard's lambda mask matches the
-	// ownership remote routers will compute after a membership sync.
-	for i, ctrl := range ctrls {
-		if _, err := ctrl.PlanTimeBin(r.MaskLambdas(fmt.Sprintf("shard-%d", i), lambdas)); err != nil {
-			cleanup()
-			return nil, nil, err
-		}
-		if err := ctrl.PrefetchCache(ctx, fetcher); err != nil {
-			cleanup()
-			return nil, nil, err
-		}
-	}
-	return r, eps, nil
+	return reads.Load(), errors.Join(append(readErrs, injectErrs...)...)
 }
 
 // runLoad drives mixed GetChunk/striped-write traffic at a remote server and
@@ -869,10 +703,6 @@ func runLoad(target string, clients, conns int, duration time.Duration, writeFra
 	deadline := time.Now().Add(duration)
 	readLats := make([][]time.Duration, clients)
 	writeLats := make([][]time.Duration, clients)
-	for w := 0; w < clients; w++ {
-		readLats[w] = []time.Duration{}
-		writeLats[w] = []time.Duration{}
-	}
 	var wg sync.WaitGroup
 	for w := 0; w < clients; w++ {
 		wg.Add(1)
@@ -929,76 +759,25 @@ func runLoad(target string, clients, conns int, duration time.Duration, writeFra
 		s.FramesSent, s.BytesSent>>10, s.FramesReceived, s.BytesReceived>>10, s.Retries, s.OverloadRejections)
 }
 
-func runDemo(cluster *objstore.Cluster, pools map[int]*objstore.Pool, objects, objSize int) {
-	ctx := context.Background()
-	base, err := cluster.Pool("ec-7-4")
+// serveMetrics exposes the bridged metric registry at addr/metrics until
+// the returned server is closed. The listener is bound before it returns,
+// so a taken address is an error rather than a silent missing endpoint.
+func serveMetrics(addr string, src obs.Sources) (*http.Server, error) {
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		fail(err)
+		return nil, fmt.Errorf("-metrics: %w", err)
 	}
-	rng := rand.New(rand.NewSource(2))
-	payload := make([]byte, objSize)
-
-	fmt.Printf("writing %d objects of %d bytes through the (7,4) pool and the equivalent pools...\n", objects, objSize)
-	for i := 0; i < objects; i++ {
-		rng.Read(payload)
-		name := fmt.Sprintf("obj-%03d", i)
-		if err := base.Put(ctx, name, payload); err != nil {
-			fail(err)
-		}
-		// Equivalent-code methodology: pool eq-d holds the (4-d)/4 portion of
-		// the object that must still be read from storage when d chunks are
-		// cached, so chunk sizes match the (7,4) pool.
-		for d, p := range pools {
-			portion := payload[:objSize*(4-d)/4]
-			if err := p.Put(ctx, name, portion); err != nil {
-				fail(err)
-			}
-		}
-	}
-
-	var lruTotal, funcTotal time.Duration
-	for i := 0; i < objects; i++ {
-		name := fmt.Sprintf("obj-%03d", i)
-		if _, lat, err := cluster.ReadThroughLRU(ctx, base, name); err != nil {
-			fail(err)
-		} else {
-			lruTotal += lat
-		}
-		// Functional caching with d = 2 of 4 chunks in cache.
-		if _, lat, err := cluster.ReadFunctional(ctx, pools, name, 2, 4, int64(objSize)); err != nil {
-			fail(err)
-		} else {
-			funcTotal += lat
-		}
-	}
-	fmt.Printf("cold LRU tier reads:      mean %v\n", lruTotal/time.Duration(objects))
-	fmt.Printf("functional caching (d=2): mean %v\n", funcTotal/time.Duration(objects))
-
-	// Second pass: the LRU tier is now warm.
-	lruTotal = 0
-	for i := 0; i < objects; i++ {
-		name := fmt.Sprintf("obj-%03d", i)
-		if _, lat, err := cluster.ReadThroughLRU(ctx, base, name); err != nil {
-			fail(err)
-		} else {
-			lruTotal += lat
-		}
-	}
-	hits, misses, _ := cluster.CacheTier().Stats()
-	fmt.Printf("warm LRU tier reads:      mean %v (hits %d, misses %d)\n", lruTotal/time.Duration(objects), hits, misses)
-}
-
-// serveMetrics exposes the bridged metric registry at addr/metrics for the
-// life of the process.
-func serveMetrics(addr string, src obs.Sources) {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", obs.NewRegistry(src).Handler())
-	go func() {
-		if err := http.ListenAndServe(addr, mux); err != nil {
-			fmt.Fprintf(os.Stderr, "sproutstore: metrics server: %v\n", err)
-		}
-	}()
-	fmt.Printf("sproutstore: metrics at http://%s/metrics\n", addr)
+	srv := &http.Server{Handler: mux}
+	go func() { _ = srv.Serve(ln) }() // returns ErrServerClosed once srv is closed
+	fmt.Printf("sproutstore: metrics at http://%s/metrics\n", ln.Addr())
+	return srv, nil
+}
+
+// logf writes one diagnostic line to stderr.
+func logf(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, format+"\n", args...)
 }
 
 func fail(err error) {

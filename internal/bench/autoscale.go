@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"sprout/internal/cluster"
@@ -128,11 +127,8 @@ func runAutoscaleArm(clu *cluster.Cluster, lambdas []float64, chunks [][][]byte,
 
 	var phases []AutoscalePhase
 	var prev core.Stats
-	runPhase := func(phase string, d time.Duration, readers int, pace time.Duration, pick func(*rand.Rand) int) error {
-		res, err := autoscaleLoad(ctx, ctrl, store, cfg.Seed, d, readers, pace, pick)
-		if err != nil {
-			return err
-		}
+	runPhase := func(phase string, d time.Duration, readers int, pace time.Duration, pick func(*rand.Rand) int) {
+		res := autoscaleLoad(ctx, ctrl, store, cfg.Seed, d, readers, pace, pick)
 		res.Arm, res.Phase = armName, phase
 		st := ctrl.Stats()
 		res.ShedReads = st.ShedReads - prev.ShedReads
@@ -146,74 +142,44 @@ func runAutoscaleArm(clu *cluster.Cluster, lambdas []float64, chunks [][][]byte,
 			}
 		}
 		phases = append(phases, res)
-		return nil
 	}
 
 	// Day: full Zipf traffic at high concurrency.
-	if err := runPhase("day", 1200*time.Millisecond, 8, 0, func(rng *rand.Rand) int {
+	runPhase("day", 1200*time.Millisecond, 8, 0, func(rng *rand.Rand) int {
 		return dayPicker.Pick(rng.Float64())
-	}); err != nil {
-		return nil, err
-	}
+	})
 	// Night: near-idle paced traffic over the two hottest files only.
-	if err := runPhase("night", 1200*time.Millisecond, 2, 2*time.Millisecond, func(rng *rand.Rand) int {
+	runPhase("night", 1200*time.Millisecond, 2, 2*time.Millisecond, func(rng *rand.Rand) int {
 		return nightFiles[rng.Intn(len(nightFiles))]
-	}); err != nil {
-		return nil, err
-	}
+	})
 	// Viral: the coldest file flips to 70% of a hot mix.
-	if err := runPhase("viral", 800*time.Millisecond, 8, 0, func(rng *rand.Rand) int {
+	runPhase("viral", 800*time.Millisecond, 8, 0, func(rng *rand.Rand) int {
 		return viralMix(rng.Float64(), rng)
-	}); err != nil {
-		return nil, err
-	}
+	})
 	return phases, nil
 }
 
 // autoscaleLoad drives paced readers against the controller for a wall-clock
 // duration and reports throughput and latency percentiles.
-func autoscaleLoad(ctx context.Context, ctrl *core.Controller, store *LatencyStore, seed int64, d time.Duration, readers int, pace time.Duration, pick func(*rand.Rand) int) (AutoscalePhase, error) {
-	latencies := make([][]time.Duration, readers)
-	errCounts := make([]int, readers)
-	var wg sync.WaitGroup
-	start := time.Now()
-	deadline := start.Add(d)
-	for w := 0; w < readers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed + 100 + int64(w)))
-			var lats []time.Duration
-			for time.Now().Before(deadline) {
-				fileID := pick(rng)
-				opStart := time.Now()
-				if _, err := ctrl.Read(ctx, fileID, store); err != nil {
-					errCounts[w]++
-				} else {
-					lats = append(lats, time.Since(opStart))
-				}
-				if pace > 0 {
-					time.Sleep(pace)
-				}
-			}
-			latencies[w] = lats
-		}(w)
+func autoscaleLoad(ctx context.Context, ctrl *core.Controller, store *LatencyStore, seed int64, d time.Duration, readers int, pace time.Duration, pick func(*rand.Rand) int) AutoscalePhase {
+	deadline := time.Now().Add(d)
+	more := func(i int) bool {
+		if i > 0 && pace > 0 {
+			time.Sleep(pace) // between reads, outside their timing
+		}
+		return time.Now().Before(deadline)
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	merged := mergeSorted(latencies)
-	errs := 0
-	for _, n := range errCounts {
-		errs += n
-	}
+	res := readLoop(readers, seed+100, more, pick, func(fileID int) error {
+		_, err := ctrl.Read(ctx, fileID, store)
+		return err
+	})
 	return AutoscalePhase{
-		Ops:       len(merged),
-		Errors:    errs,
-		OpsPerSec: float64(len(merged)) / elapsed.Seconds(),
-		P50ms:     pct(merged, 0.50, time.Millisecond),
-		P99ms:     pct(merged, 0.99, time.Millisecond),
-	}, nil
+		Ops:       len(res.lats),
+		Errors:    int(res.sheds + res.errors),
+		OpsPerSec: float64(len(res.lats)) / res.elapsed.Seconds(),
+		P50ms:     pct(res.lats, 0.50, time.Millisecond),
+		P99ms:     pct(res.lats, 0.99, time.Millisecond),
+	}
 }
 
 // findPhase locates one (arm, phase) cell.

@@ -2,11 +2,8 @@ package bench
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"sprout/internal/core"
@@ -65,7 +62,8 @@ func (s *chaosStack) close() {
 	}
 }
 
-func (s *chaosStack) objName(fileID int) string { return fmt.Sprintf("file-%04d", fileID) }
+// objName is the object naming scheme of the benchmarks' working sets.
+func objName(fileID int) string { return fmt.Sprintf("file-%04d", fileID) }
 
 // ChaosResilience A/Bs the resilience plane on the full stack: a slow-node +
 // flaky-node mix and a 2× overload surge, each run with breakers, admission
@@ -115,13 +113,8 @@ func newChaosStack(cfg Config, scfg transport.ServerConfig, ccfg transport.Clien
 	}
 
 	ctx := context.Background()
-	rng := rand.New(rand.NewSource(cfg.Seed + 7))
-	payload := make([]byte, objSize)
-	for i := 0; i < objects; i++ {
-		rng.Read(payload)
-		if err := s.pool.Put(ctx, s.objName(i), payload); err != nil {
-			return nil, err
-		}
+	if err := s.pool.Fill(ctx, objects, objSize, cfg.Seed+7, objName); err != nil {
+		return nil, err
 	}
 
 	scfg.Chaos = s.chaos
@@ -185,39 +178,14 @@ func (s *chaosStack) hotOSDs(want int) ([]int, error) {
 	return hot, nil
 }
 
-// chaosDrive runs readers×opsEach Zipf-picked reads, returning sorted success
-// latencies plus shed (overload/saturation) and hard-error counts.
-func (s *chaosStack) chaosDrive(cfg Config, readers, opsEach int) ([]time.Duration, int64, int64, time.Duration) {
+// chaosDrive runs readers×opsEach Zipf-picked reads through the controller.
+func (s *chaosStack) chaosDrive(cfg Config, readers, opsEach int) readLoopResult {
 	picker := workload.NewRatePicker(s.lambdas)
-	latencies := make([][]time.Duration, readers)
-	var sheds, hardErrs atomic.Int64
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < readers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(cfg.Seed + 200 + int64(w)))
-			lats := make([]time.Duration, 0, opsEach)
-			for i := 0; i < opsEach; i++ {
-				fileID := picker.Pick(r.Float64())
-				opStart := time.Now()
-				_, err := s.ctrl.Read(context.Background(), fileID, s.fetcher)
-				switch {
-				case err == nil:
-					lats = append(lats, time.Since(opStart))
-				case errors.Is(err, core.ErrSaturated) || resilience.IsOverload(err):
-					sheds.Add(1)
-				default:
-					hardErrs.Add(1)
-				}
-			}
-			latencies[w] = lats
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	return mergeSorted(latencies), sheds.Load(), hardErrs.Load(), elapsed
+	pick := func(r *rand.Rand) int { return picker.Pick(r.Float64()) }
+	return readLoop(readers, cfg.Seed+200, upTo(opsEach), pick, func(fileID int) error {
+		_, err := s.ctrl.Read(context.Background(), fileID, s.fetcher)
+		return err
+	})
 }
 
 func chaosPoint(cfg Config, scenario string, resilient bool) (ChaosResult, error) {
@@ -271,9 +239,9 @@ func chaosPoint(cfg Config, scenario string, resilient bool) (ChaosResult, error
 	if scenario == "overload" {
 		baseReaders = 2
 	}
-	healthyLats, _, healthyErrs, _ := s.chaosDrive(cfg, baseReaders, 40)
-	if healthyErrs > 0 {
-		return ChaosResult{}, fmt.Errorf("%d read errors on the healthy baseline", healthyErrs)
+	healthy := s.chaosDrive(cfg, baseReaders, 40)
+	if healthy.errors > 0 {
+		return ChaosResult{}, fmt.Errorf("%d read errors on the healthy baseline", healthy.errors)
 	}
 
 	switch scenario {
@@ -302,7 +270,7 @@ func chaosPoint(cfg Config, scenario string, resilient bool) (ChaosResult, error
 	statsBefore := s.ctrl.Stats()
 	csBefore := s.client.Stats()
 	overloadsBefore := s.server.Stats().OverloadRejections
-	lats, sheds, hardErrs, elapsed := s.chaosDrive(cfg, readers, opsEach)
+	run := s.chaosDrive(cfg, readers, opsEach)
 	stats := s.ctrl.Stats()
 	cs := s.client.Stats()
 
@@ -315,13 +283,13 @@ func chaosPoint(cfg Config, scenario string, resilient bool) (ChaosResult, error
 	return ChaosResult{
 		Scenario:     scenario,
 		Resilience:   map[bool]string{false: "off", true: "on"}[resilient],
-		Ops:          len(lats),
-		Sheds:        sheds,
-		Errors:       hardErrs,
-		OpsPerSec:    float64(len(lats)) / elapsed.Seconds(),
-		P50ms:        pct(lats, 0.50, time.Millisecond),
-		P99ms:        pct(lats, 0.99, time.Millisecond),
-		HealthyP99ms: pct(healthyLats, 0.99, time.Millisecond),
+		Ops:          len(run.lats),
+		Sheds:        run.sheds,
+		Errors:       run.errors,
+		OpsPerSec:    float64(len(run.lats)) / run.elapsed.Seconds(),
+		P50ms:        pct(run.lats, 0.50, time.Millisecond),
+		P99ms:        pct(run.lats, 0.99, time.Millisecond),
+		HealthyP99ms: pct(healthy.lats, 0.99, time.Millisecond),
 		Failovers:    stats.FetchFailovers - statsBefore.FetchFailovers,
 		Demotions:    stats.BreakerDemotions - statsBefore.BreakerDemotions,
 		Hedges:       stats.HedgesLaunched - statsBefore.HedgesLaunched,

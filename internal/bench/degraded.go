@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -104,14 +103,8 @@ func degradedReadPoint(cfg Config, pt degradedPoint, cacheMode string, failed in
 		return DegradedResult{}, err
 	}
 
-	rng := rand.New(rand.NewSource(cfg.Seed + 9))
-	payload := make([]byte, pt.objSize)
-	objName := func(fileID int) string { return fmt.Sprintf("file-%04d", fileID) }
-	for i := 0; i < pt.objects; i++ {
-		rng.Read(payload)
-		if err := pool.Put(ctx, objName(i), payload); err != nil {
-			return DegradedResult{}, err
-		}
+	if err := pool.Fill(ctx, pt.objects, pt.objSize, cfg.Seed+9, objName); err != nil {
+		return DegradedResult{}, err
 	}
 
 	lambdas := workload.Zipf(pt.objects, 1.1, 50)
@@ -147,38 +140,22 @@ func degradedReadPoint(cfg Config, pt degradedPoint, cacheMode string, failed in
 	// Serve Zipf reads from the reader pool until told to stop.
 	picker := workload.NewRatePicker(lambdas)
 	var stop atomic.Bool
-	latencies := make([][]time.Duration, pt.readers)
-	errs := make([]error, pt.readers)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < pt.readers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(cfg.Seed + 100 + int64(w)))
-			var lats []time.Duration
-			for !stop.Load() {
-				fileID := picker.Pick(r.Float64())
-				opStart := time.Now()
-				if _, err := ctrl.Read(ctx, fileID, fetcher); err != nil {
-					errs[w] = err
-					return
-				}
-				lats = append(lats, time.Since(opStart))
-			}
-			latencies[w] = lats
-		}(w)
-	}
-
-	finish := func() error {
-		stop.Store(true)
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
+	loop := make(chan readLoopResult, 1)
+	go func() {
+		loop <- readLoop(pt.readers, cfg.Seed+100, func(int) bool { return !stop.Load() },
+			func(r *rand.Rand) int { return picker.Pick(r.Float64()) },
+			func(fileID int) error {
+				_, err := ctrl.Read(ctx, fileID, fetcher)
 				return err
-			}
+			})
+	}()
+	finish := func() (readLoopResult, error) {
+		stop.Store(true)
+		res := <-loop
+		if n := res.sheds + res.errors; n > 0 {
+			return res, fmt.Errorf("%d reads failed", n)
 		}
-		return nil
+		return res, nil
 	}
 
 	time.Sleep(pt.healthy)
@@ -194,7 +171,7 @@ func degradedReadPoint(cfg Config, pt degradedPoint, cacheMode string, failed in
 			ids[i] = i
 		}
 		if err := oc.FailOSDs(true, ids...); err != nil {
-			_ = finish()
+			_, _ = finish()
 			return DegradedResult{}, err
 		}
 		for _, id := range ids {
@@ -214,12 +191,10 @@ func degradedReadPoint(cfg Config, pt degradedPoint, cacheMode string, failed in
 		}
 	}
 	time.Sleep(pt.tail)
-	if err := finish(); err != nil {
+	res, err := finish()
+	if err != nil {
 		return DegradedResult{}, err
 	}
-	elapsed := time.Since(start)
-
-	merged := mergeSorted(latencies)
 
 	stats := ctrl.Stats()
 	rs := mgr.Stats()
@@ -230,10 +205,10 @@ func degradedReadPoint(cfg Config, pt degradedPoint, cacheMode string, failed in
 	return DegradedResult{
 		Cache:             cacheMode,
 		Failed:            failed,
-		Ops:               len(merged),
-		OpsPerSec:         float64(len(merged)) / elapsed.Seconds(),
-		P50ms:             pct(merged, 0.50, time.Millisecond),
-		P99ms:             pct(merged, 0.99, time.Millisecond),
+		Ops:               len(res.lats),
+		OpsPerSec:         float64(len(res.lats)) / res.elapsed.Seconds(),
+		P50ms:             pct(res.lats, 0.50, time.Millisecond),
+		P99ms:             pct(res.lats, 0.99, time.Millisecond),
 		DegradedReads:     stats.DegradedReads,
 		CacheRescues:      stats.CacheRescues,
 		Failovers:         stats.FetchFailovers,

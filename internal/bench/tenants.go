@@ -2,19 +2,15 @@ package bench
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sprout/internal/core"
 	"sprout/internal/objstore"
 	"sprout/internal/optimizer"
 	"sprout/internal/queue"
-	"sprout/internal/resilience"
 	"sprout/internal/transport"
 	"sprout/internal/workload"
 )
@@ -112,13 +108,8 @@ func newTenantStack(cfg Config) (*tenantStack, error) {
 	}
 
 	ctx := context.Background()
-	rng := rand.New(rand.NewSource(cfg.Seed + 17))
-	payload := make([]byte, objSize)
-	for i := 0; i < objects; i++ {
-		rng.Read(payload)
-		if err := s.pool.Put(ctx, fmt.Sprintf("file-%04d", i), payload); err != nil {
-			return nil, err
-		}
+	if err := s.pool.Fill(ctx, objects, objSize, cfg.Seed+17, objName); err != nil {
+		return nil, err
 	}
 
 	goldFiles, bronzeFiles := tenantFiles(objects)
@@ -170,10 +161,10 @@ func newTenantStack(cfg Config) (*tenantStack, error) {
 	return s, nil
 }
 
-// tenantDrive runs one tenant's closed loop: readers goroutines each doing
-// opsEach Zipf-picked reads over the tenant's own files, through the
-// tenant's own wire client, with the tenant stamped on the read context.
-func (s *tenantStack) tenantDrive(cfg Config, tenant string, files []int, readers, opsEach int, wg *sync.WaitGroup, out *tenantDriveResult) {
+// tenantDrive runs one tenant's closed loop: readers×opsEach Zipf-picked
+// reads over the tenant's own files, through the tenant's own wire client,
+// with the tenant stamped on the read context.
+func (s *tenantStack) tenantDrive(cfg Config, tenant string, files []int, readers, opsEach int) readLoopResult {
 	sub := make([]float64, len(files))
 	for i, f := range files {
 		sub[i] = s.lambdas[f]
@@ -181,49 +172,24 @@ func (s *tenantStack) tenantDrive(cfg Config, tenant string, files []int, reader
 	picker := workload.NewRatePicker(sub)
 	fetcher := s.fetch[tenant]
 	ctx := core.WithTenant(context.Background(), tenant)
-	lats := make([][]time.Duration, readers)
-	var inner sync.WaitGroup
-	for w := 0; w < readers; w++ {
-		inner.Add(1)
-		go func(w int) {
-			defer inner.Done()
-			r := rand.New(rand.NewSource(cfg.Seed + 500 + int64(w)))
-			l := make([]time.Duration, 0, opsEach)
-			for i := 0; i < opsEach; i++ {
-				fileID := files[picker.Pick(r.Float64())]
-				opStart := time.Now()
-				_, err := s.ctrl.Read(ctx, fileID, fetcher)
-				switch {
-				case err == nil:
-					l = append(l, time.Since(opStart))
-				case errors.Is(err, core.ErrSaturated) || resilience.IsOverload(err):
-					out.sheds.Add(1)
-				default:
-					out.errors.Add(1)
-				}
-			}
-			lats[w] = l
-		}(w)
-	}
+	return readLoop(readers, cfg.Seed+500, upTo(opsEach), func(r *rand.Rand) int { return files[picker.Pick(r.Float64())] },
+		func(fileID int) error {
+			_, err := s.ctrl.Read(ctx, fileID, fetcher)
+			return err
+		})
+}
+
+// driveBoth runs gold's and bronze's loops concurrently on one stack.
+func (s *tenantStack) driveBoth(cfg Config, goldFiles, bronzeFiles []int, goldReaders, bronzeReaders, opsEach int) (gold, bronze readLoopResult) {
+	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		inner.Wait()
-		var merged []time.Duration
-		for _, l := range lats {
-			merged = append(merged, l...)
-		}
-		out.mu.Lock()
-		out.lats = append(out.lats, merged...)
-		out.mu.Unlock()
+		bronze = s.tenantDrive(cfg, "bronze", bronzeFiles, bronzeReaders, opsEach)
 	}()
-}
-
-type tenantDriveResult struct {
-	mu     sync.Mutex
-	lats   []time.Duration
-	sheds  atomic.Int64
-	errors atomic.Int64
+	gold = s.tenantDrive(cfg, "gold", goldFiles, goldReaders, opsEach)
+	wg.Wait()
+	return gold, bronze
 }
 
 // tenantPoint runs one arm: gold at its fixed load, bronze at loadX times
@@ -239,25 +205,15 @@ func tenantPoint(cfg Config, arm string, bronzeReaders int) (TenantResult, error
 	const goldReaders, opsEach = 4, 120
 
 	// Unmeasured warmup settles the cache fills.
-	var warm sync.WaitGroup
-	var wgold, wbronze tenantDriveResult
-	s.tenantDrive(cfg, "gold", goldFiles, goldReaders, 15, &warm, &wgold)
-	s.tenantDrive(cfg, "bronze", bronzeFiles, bronzeReaders, 15, &warm, &wbronze)
-	warm.Wait()
+	s.driveBoth(cfg, goldFiles, bronzeFiles, goldReaders, bronzeReaders, 15)
 
 	before := s.ctrl.Stats()
 	tsBefore := s.ctrl.TenantStats()
-	var wg sync.WaitGroup
-	var gold, bronze tenantDriveResult
 	start := time.Now()
-	s.tenantDrive(cfg, "gold", goldFiles, goldReaders, opsEach, &wg, &gold)
-	s.tenantDrive(cfg, "bronze", bronzeFiles, bronzeReaders, opsEach, &wg, &bronze)
-	wg.Wait()
+	gold, bronze := s.driveBoth(cfg, goldFiles, bronzeFiles, goldReaders, bronzeReaders, opsEach)
 	elapsed := time.Since(start)
 	stats := s.ctrl.Stats()
 	ts := s.ctrl.TenantStats()
-	slices.Sort(gold.lats)
-	slices.Sort(bronze.lats)
 
 	return TenantResult{
 		Arm:            arm,
@@ -268,7 +224,7 @@ func tenantPoint(cfg Config, arm string, bronzeReaders int) (TenantResult, error
 		BronzeP99ms:    pct(bronze.lats, 0.99, time.Millisecond),
 		GoldSheds:      ts["gold"].Sheds - tsBefore["gold"].Sheds,
 		BronzeSheds:    ts["bronze"].Sheds - tsBefore["bronze"].Sheds,
-		Errors:         gold.errors.Load() + bronze.errors.Load(),
+		Errors:         gold.errors + bronze.errors,
 		OpsPerSec:      float64(len(gold.lats)+len(bronze.lats)) / elapsed.Seconds(),
 		PriorityHedges: stats.PriorityHedges - before.PriorityHedges,
 	}, nil

@@ -30,7 +30,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		transport.ServerConfig{StagedPutTTL: time.Minute},
 		transport.ClientConfig{Conns: 3})
 	reg := obs.NewRegistry(obs.Sources{
-		Controller:      h.ctrl,
+		Shards:          []obs.ShardSource{{Shard: "shard-0", Controller: h.ctrl}},
 		TransportClient: client.Stats,
 		Repair:          h.repair.Stats,
 		OSDHealth:       h.cluster.Health,

@@ -103,8 +103,13 @@ func FileBound(pi []float64, moments []queue.ResponseMoments) (bound, zOpt float
 
 	// The objective is convex in z; its derivative is increasing. At z=0 the
 	// derivative may already be >= 0 (then z*=0); otherwise bisect on an
-	// interval whose upper end has positive derivative.
+	// interval whose upper end has positive derivative. The bracket starts
+	// positive: with zero-mean service (a Deterministic{Value: 0} node)
+	// maxMean is 0, and doubling 0 would never grow it.
 	lo, hi := 0.0, maxMean
+	if hi <= 0 {
+		hi = 1
+	}
 	if boundDerivative(lo, pi, moments) >= 0 {
 		return boundAt(0, pi, moments), 0
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"sprout/internal/queue"
 )
@@ -22,6 +23,23 @@ func TestFileBoundFullyCached(t *testing.T) {
 	b, z := FileBound([]float64{0, 0}, moments)
 	if b != 0 || z != 0 {
 		t.Fatalf("fully cached file must have zero bound, got %v (z=%v)", b, z)
+	}
+}
+
+// TestFileBoundZeroMeanReturns is the regression test for zero-mean
+// moments: the bisection bracket used to start at maxMean = 0 and never
+// grow, so FileBound spun forever.
+func TestFileBoundZeroMeanReturns(t *testing.T) {
+	moments := makeMoments(make([]float64, 7), make([]float64, 7))
+	done := make(chan float64, 1)
+	go func() { b, _ := FileBound([]float64{1, 1, 1, 1, 0, 0, 0}, moments); done <- b }()
+	select {
+	case b := <-done:
+		if math.Abs(b) > 1e-9 {
+			t.Fatalf("zero-service bound = %v, want ~0", b)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("FileBound did not return within 2s on zero-mean moments")
 	}
 }
 

@@ -389,6 +389,20 @@ func (p *Pool) Put(ctx context.Context, object string, data []byte) error {
 	return err
 }
 
+// Fill writes a seeded working set: n objects of size pseudo-random bytes
+// drawn from seed, named name(0) … name(n-1).
+func (p *Pool) Fill(ctx context.Context, n, size int, seed int64, name func(int) string) error {
+	rng := rand.New(rand.NewSource(seed))
+	payload := make([]byte, size)
+	for i := 0; i < n; i++ {
+		rng.Read(payload)
+		if err := p.Put(ctx, name(i), payload); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Get reads an object by collecting k chunks of its committed stripe version
 // from the hosting OSDs (all n are contacted; the k fastest responses win,
 // mirroring Ceph's read path for erasure-coded pools) and decoding. The

@@ -14,6 +14,7 @@
 package obs
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 
@@ -30,10 +31,11 @@ import (
 // deployment registers exactly the planes it runs; the conformance test
 // registers all of them.
 type Sources struct {
-	// Controller bridges read/write counters, latency histograms, the
-	// saturation gate, the autoscaler, cache occupancy, and the
-	// per-file erasure coders.
-	Controller *core.Controller
+	// Shards bridges each controller's read/write counters, latency
+	// histograms, saturation gate, autoscaler, cache occupancy, tenant QoS
+	// and fill ring under a shard label, plus the erasure coders of all
+	// their files. A single controller is a one-shard deployment.
+	Shards []ShardSource
 	// TransportClient and TransportServer snapshot each side's wire counters.
 	TransportClient func() transport.TransportStats
 	TransportServer func() transport.TransportStats
@@ -55,12 +57,10 @@ type Sources struct {
 	// Router bridges the shard router: routed operations per shard, the
 	// invalidation fan-out protocol counters, and fan-out latency.
 	Router *router.Router
-	// Shards bridges per-shard controller series under shared families with
-	// a shard label, so one scrape shows every shard of the metadata plane.
-	Shards []ShardSource
 }
 
-// ShardSource names one shard controller for per-shard series.
+// ShardSource names one controller; its series carry Shard as the shard
+// label.
 type ShardSource struct {
 	Shard      string
 	Controller *core.Controller
@@ -68,8 +68,8 @@ type ShardSource struct {
 
 // Register wires every non-nil source into the registry.
 func Register(r *metrics.Registry, s Sources) {
-	if s.Controller != nil {
-		registerController(r, s.Controller)
+	if len(s.Shards) > 0 {
+		registerController(r, s.Shards)
 	}
 	if s.TransportClient != nil || s.TransportServer != nil {
 		registerTransport(r, s.TransportClient, s.TransportServer)
@@ -89,14 +89,15 @@ func Register(r *metrics.Registry, s Sources) {
 	if len(s.Pools) > 0 {
 		registerPools(r, s.Pools)
 	}
-	if len(s.Rings) > 0 {
-		registerRings(r, s.Rings)
+	rings := slices.Clip(s.Rings)
+	for _, sh := range s.Shards {
+		rings = append(rings, RingSource{Name: "controller_fill_" + sh.Shard, Stats: sh.Controller.FillQueueStats})
+	}
+	if len(rings) > 0 {
+		registerRings(r, rings)
 	}
 	if s.Router != nil {
 		registerRouter(r, s.Router)
-	}
-	if len(s.Shards) > 0 {
-		registerShards(r, s.Shards)
 	}
 }
 
@@ -141,8 +142,31 @@ func histValue(b core.HistogramBuckets) *metrics.HistValue {
 	return v
 }
 
-func registerController(r *metrics.Registry, c *core.Controller) {
-	st := func() core.Stats { return c.Stats() }
+// perShard registers one controller family with a leading shard label:
+// fn collects one controller's samples, and each shard's set is stamped
+// with its name.
+func perShard(r *metrics.Registry, shards []ShardSource, d metrics.Desc, fn func(*core.Controller) []metrics.Sample) {
+	d.Labels = append([]string{"shard"}, d.Labels...)
+	r.MustRegister(d, metrics.CollectorFunc(func() []metrics.Sample {
+		var out []metrics.Sample
+		for _, s := range shards {
+			for _, smp := range fn(s.Controller) {
+				smp.LabelValues = append([]string{s.Shard}, smp.LabelValues...)
+				out = append(out, smp)
+			}
+		}
+		return out
+	}))
+}
+
+// registerController exports every shard controller once, each family
+// labelled by shard. The erasure-coder families stay unlabelled: they sum
+// the coders of every shard's files.
+func registerController(r *metrics.Registry, shards []ShardSource) {
+	scalar := func(name, help string, kind metrics.Kind, fn func(*core.Controller) float64) {
+		perShard(r, shards, metrics.Desc{Name: name, Help: help, Kind: kind},
+			func(c *core.Controller) []metrics.Sample { return []metrics.Sample{{Value: fn(c)}} })
+	}
 	for _, m := range []struct {
 		name, help string
 		fn         func(core.Stats) int64
@@ -184,111 +208,99 @@ func registerController(r *metrics.Registry, c *core.Controller) {
 		{"sprout_priority_hedges_total", "Gold-tenant reads that kept their hedge timer through brownout level 1.", func(s core.Stats) int64 { return s.PriorityHedges }},
 	} {
 		fn := m.fn
-		counter(r, m.name, m.help, func() int64 { return fn(st()) })
+		scalar(m.name, m.help, metrics.KindCounter, func(c *core.Controller) float64 { return float64(fn(c.Stats())) })
 	}
 
-	r.MustRegister(metrics.Desc{
+	perShard(r, shards, metrics.Desc{
 		Name: "sprout_peer_invalidations_total",
 		Help: "Versioned peer invalidations received: applied, or dropped as stale (late or duplicate).",
 		Kind: metrics.KindCounter, Labels: []string{"result"},
-	}, metrics.CollectorFunc(func() []metrics.Sample {
-		s := st()
+	}, func(c *core.Controller) []metrics.Sample {
+		s := c.Stats()
 		return []metrics.Sample{
 			{LabelValues: []string{"applied"}, Value: float64(s.InvalidationsApplied)},
 			{LabelValues: []string{"stale_dropped"}, Value: float64(s.InvalidationsStale)},
 		}
-	}))
-
-	r.MustRegister(metrics.Desc{
+	})
+	perShard(r, shards, metrics.Desc{
 		Name: "sprout_read_chunks_total", Help: "Chunks consumed by reads, by source.",
 		Kind: metrics.KindCounter, Labels: []string{"source"},
-	}, metrics.CollectorFunc(func() []metrics.Sample {
-		s := st()
+	}, func(c *core.Controller) []metrics.Sample {
+		s := c.Stats()
 		return []metrics.Sample{
 			{LabelValues: []string{"cache"}, Value: float64(s.ChunksFromCache)},
 			{LabelValues: []string{"storage"}, Value: float64(s.ChunksFromDisk)},
 		}
-	}))
-
-	r.MustRegister(metrics.Desc{
+	})
+	perShard(r, shards, metrics.Desc{
 		Name: "sprout_read_latency_seconds", Help: "Read latency by serving class.",
 		Kind: metrics.KindHistogram, Labels: []string{"class"},
-	}, metrics.CollectorFunc(func() []metrics.Sample {
+	}, func(c *core.Controller) []metrics.Sample {
 		byClass := c.ReadLatencyBuckets()
 		out := make([]metrics.Sample, 0, len(byClass))
 		for _, class := range []string{"cache_hit", "storage", "degraded"} {
 			out = append(out, metrics.Sample{LabelValues: []string{class}, Hist: histValue(byClass[class])})
 		}
 		return out
-	}))
-	r.MustRegister(metrics.Desc{
+	})
+	perShard(r, shards, metrics.Desc{
 		Name: "sprout_write_latency_seconds", Help: "End-to-end object write latency.",
 		Kind: metrics.KindHistogram,
-	}, metrics.CollectorFunc(func() []metrics.Sample {
+	}, func(c *core.Controller) []metrics.Sample {
 		return []metrics.Sample{{Hist: histValue(c.WriteLatencyBuckets())}}
-	}))
+	})
 
-	gauge(r, "sprout_saturation_level", "Admission-gate brownout level (0 healthy … 3 shedding).",
-		func() float64 { return float64(c.SaturationLevel()) })
-	gauge(r, "sprout_saturation_score_ratio", "Saturation pressure score (1 means a signal is at its target).",
-		func() float64 { return c.SaturationScore() })
-	gauge(r, "sprout_inflight_reads_requests", "Reads currently inside the admission gate.",
-		func() float64 { return float64(c.InFlightReads()) })
-
-	cache := c.Cache()
-	gauge(r, "sprout_cache_used_chunks", "Functional-cache chunks currently resident.",
-		func() float64 { return float64(cache.Len()) })
-	gauge(r, "sprout_cache_capacity_chunks", "Functional-cache capacity.",
-		func() float64 { return float64(cache.Capacity()) })
-	counter(r, "sprout_cache_hits_total", "Functional-cache chunk lookups served.",
-		func() int64 { h, _ := cache.Stats(); return int64(h) })
-	counter(r, "sprout_cache_misses_total", "Functional-cache chunk lookups missed.",
-		func() int64 { _, m := cache.Stats(); return int64(m) })
-	r.MustRegister(metrics.Desc{
+	scalar("sprout_saturation_level", "Admission-gate brownout level (0 healthy … 3 shedding).", metrics.KindGauge,
+		func(c *core.Controller) float64 { return float64(c.SaturationLevel()) })
+	scalar("sprout_saturation_score_ratio", "Saturation pressure score (1 means a signal is at its target).", metrics.KindGauge,
+		func(c *core.Controller) float64 { return c.SaturationScore() })
+	scalar("sprout_inflight_reads_requests", "Reads currently inside the admission gate.", metrics.KindGauge,
+		func(c *core.Controller) float64 { return float64(c.InFlightReads()) })
+	scalar("sprout_cache_used_chunks", "Functional-cache chunks currently resident.", metrics.KindGauge,
+		func(c *core.Controller) float64 { return float64(c.Cache().Len()) })
+	scalar("sprout_cache_capacity_chunks", "Functional-cache capacity.", metrics.KindGauge,
+		func(c *core.Controller) float64 { return float64(c.Cache().Capacity()) })
+	scalar("sprout_cache_hits_total", "Functional-cache chunk lookups served.", metrics.KindCounter,
+		func(c *core.Controller) float64 { h, _ := c.Cache().Stats(); return float64(h) })
+	scalar("sprout_cache_misses_total", "Functional-cache chunk lookups missed.", metrics.KindCounter,
+		func(c *core.Controller) float64 { _, m := c.Cache().Stats(); return float64(m) })
+	perShard(r, shards, metrics.Desc{
 		Name: "sprout_cache_occupancy_chunks", Help: "Cached functional chunks per file.",
 		Kind: metrics.KindGauge, Labels: []string{"file"},
-	}, metrics.CollectorFunc(func() []metrics.Sample {
-		alloc := cache.Allocation()
+	}, func(c *core.Controller) []metrics.Sample {
+		alloc := c.Cache().Allocation()
 		out := make([]metrics.Sample, 0, len(alloc))
 		for fileID, n := range alloc {
 			out = append(out, metrics.Sample{LabelValues: []string{strconv.Itoa(fileID)}, Value: float64(n)})
 		}
 		return out
-	}))
-	r.MustRegister(metrics.Desc{
+	})
+	perShard(r, shards, metrics.Desc{
 		Name: "sprout_autoscale_target_chunks", Help: "Autoscaler per-file cache allocation target.",
 		Kind: metrics.KindGauge, Labels: []string{"file"},
-	}, metrics.CollectorFunc(func() []metrics.Sample {
+	}, func(c *core.Controller) []metrics.Sample {
 		targets := c.AutoscaleTargets()
 		out := make([]metrics.Sample, 0, len(targets))
 		for fileID, t := range targets {
 			out = append(out, metrics.Sample{LabelValues: []string{strconv.Itoa(fileID)}, Value: float64(t)})
 		}
 		return out
-	}))
+	})
 
 	// Per-tenant QoS families. The label set is bounded by configuration:
 	// unknown tenant names fold into the default state, so a hostile client
 	// cannot inflate the exposition. With no tenants configured the
 	// collectors return no samples.
-	tenantNames := func(snaps map[string]core.TenantSnapshot) []string {
-		names := make([]string, 0, len(snaps))
-		for name := range snaps {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		return names
-	}
 	perTenant := func(name, help string, kind metrics.Kind, fn func(core.TenantSnapshot) float64) {
-		r.MustRegister(metrics.Desc{Name: name, Help: help, Kind: kind, Labels: []string{"tenant"}},
-			metrics.CollectorFunc(func() []metrics.Sample {
+		perShard(r, shards, metrics.Desc{Name: name, Help: help, Kind: kind, Labels: []string{"tenant"}},
+			func(c *core.Controller) []metrics.Sample {
 				snaps := c.TenantStats()
 				out := make([]metrics.Sample, 0, len(snaps))
-				for _, tn := range tenantNames(snaps) {
+				for _, tn := range sortedKeys(snaps) {
 					out = append(out, metrics.Sample{LabelValues: []string{tn}, Value: fn(snaps[tn])})
 				}
 				return out
-			}))
+			})
 	}
 	perTenant("sprout_tenant_reads_total", "Reads served, by tenant.", metrics.KindCounter,
 		func(s core.TenantSnapshot) float64 { return float64(s.Reads) })
@@ -300,56 +312,59 @@ func registerController(r *metrics.Registry, c *core.Controller) {
 		func(s core.TenantSnapshot) float64 { return float64(s.CacheShare) })
 	perTenant("sprout_tenant_weight_ratio", "Tenant's weighted-fair share relative to the other tenants.", metrics.KindGauge,
 		func(s core.TenantSnapshot) float64 { return float64(s.Policy.Weight) })
-	r.MustRegister(metrics.Desc{
+	perShard(r, shards, metrics.Desc{
 		Name: "sprout_tenant_read_latency_seconds", Help: "Served-read latency by tenant.",
 		Kind: metrics.KindHistogram, Labels: []string{"tenant"},
-	}, metrics.CollectorFunc(func() []metrics.Sample {
+	}, func(c *core.Controller) []metrics.Sample {
 		byTenant := c.TenantLatencyBuckets()
-		names := make([]string, 0, len(byTenant))
-		for name := range byTenant {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		out := make([]metrics.Sample, 0, len(names))
-		for _, tn := range names {
+		out := make([]metrics.Sample, 0, len(byTenant))
+		for _, tn := range sortedKeys(byTenant) {
 			out = append(out, metrics.Sample{LabelValues: []string{tn}, Hist: histValue(byTenant[tn])})
 		}
 		return out
-	}))
+	})
 
 	registerErasure(r, func() erasure.CoderStats {
 		var sum erasure.CoderStats
-		for _, f := range c.Files() {
-			sum = sum.Add(f.Code.Stats())
+		for _, s := range shards {
+			for _, f := range s.Controller.Files() {
+				sum = sum.Add(f.Code.Stats())
+			}
 		}
 		return sum
 	})
 }
 
+// sortedKeys returns m's keys in order, so per-tenant series render stably.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // registerRouter bridges the shard router's routing and fan-out counters.
 func registerRouter(r *metrics.Registry, rt *router.Router) {
-	r.MustRegister(metrics.Desc{
-		Name: "sprout_router_reads_total", Help: "Reads routed to each shard.",
-		Kind: metrics.KindCounter, Labels: []string{"shard"},
-	}, metrics.CollectorFunc(func() []metrics.Sample {
-		st := rt.Stats()
-		out := make([]metrics.Sample, len(st.Shards))
-		for i, s := range st.Shards {
-			out[i] = metrics.Sample{LabelValues: []string{s.ID}, Value: float64(s.Reads)}
-		}
-		return out
-	}))
-	r.MustRegister(metrics.Desc{
-		Name: "sprout_router_writes_total", Help: "Writes routed to each shard.",
-		Kind: metrics.KindCounter, Labels: []string{"shard"},
-	}, metrics.CollectorFunc(func() []metrics.Sample {
-		st := rt.Stats()
-		out := make([]metrics.Sample, len(st.Shards))
-		for i, s := range st.Shards {
-			out[i] = metrics.Sample{LabelValues: []string{s.ID}, Value: float64(s.Writes)}
-		}
-		return out
-	}))
+	for _, m := range []struct {
+		name, help string
+		fn         func(router.ShardStats) int64
+	}{
+		{"sprout_router_reads_total", "Reads routed to each shard.", func(s router.ShardStats) int64 { return s.Reads }},
+		{"sprout_router_writes_total", "Writes routed to each shard.", func(s router.ShardStats) int64 { return s.Writes }},
+	} {
+		fn := m.fn
+		r.MustRegister(metrics.Desc{Name: m.name, Help: m.help, Kind: metrics.KindCounter, Labels: []string{"shard"}},
+			metrics.CollectorFunc(func() []metrics.Sample {
+				st := rt.Stats()
+				out := make([]metrics.Sample, len(st.Shards))
+				for i, s := range st.Shards {
+					out[i] = metrics.Sample{LabelValues: []string{s.ID}, Value: float64(fn(s))}
+				}
+				return out
+			}))
+	}
 	counter(r, "sprout_router_invalidations_sent_total",
 		"Invalidation deliveries handed to the fan-out pool.",
 		func() int64 { return rt.Stats().InvalidationsSent })
@@ -378,62 +393,6 @@ func registerRouter(r *metrics.Registry, rt *router.Router) {
 		func() float64 { return float64(len(rt.Stats().Shards)) })
 	counter(r, "sprout_router_ring_version_total", "Ring membership version (bumps on every add/remove).",
 		func() int64 { return int64(rt.Stats().RingVersion) })
-}
-
-// registerShards exposes per-shard controller series under shared families
-// with a shard label.
-func registerShards(r *metrics.Registry, shards []ShardSource) {
-	perShard := func(name, help string, kind metrics.Kind, fn func(*core.Controller) float64) {
-		r.MustRegister(metrics.Desc{Name: name, Help: help, Kind: kind, Labels: []string{"shard"}},
-			metrics.CollectorFunc(func() []metrics.Sample {
-				out := make([]metrics.Sample, len(shards))
-				for i, s := range shards {
-					out[i] = metrics.Sample{LabelValues: []string{s.Shard}, Value: fn(s.Controller)}
-				}
-				return out
-			}))
-	}
-	perShard("sprout_shard_reads_total", "Reads served by each shard controller.", metrics.KindCounter,
-		func(c *core.Controller) float64 { return float64(c.Stats().Reads) })
-	perShard("sprout_shard_writes_total", "Writes committed by each shard controller.", metrics.KindCounter,
-		func(c *core.Controller) float64 { return float64(c.Stats().Writes) })
-	perShard("sprout_shard_lazy_fills_total", "Background cache fills completed by each shard.", metrics.KindCounter,
-		func(c *core.Controller) float64 { return float64(c.Stats().LazyFills) })
-	perShard("sprout_shard_plan_updates_total", "Cache plans applied by each shard.", metrics.KindCounter,
-		func(c *core.Controller) float64 { return float64(c.Stats().PlanUpdates) })
-	perShard("sprout_shard_cache_used_chunks", "Functional-cache chunks resident on each shard.", metrics.KindGauge,
-		func(c *core.Controller) float64 { return float64(c.Cache().Len()) })
-	perShard("sprout_shard_cache_capacity_chunks", "Functional-cache capacity of each shard.", metrics.KindGauge,
-		func(c *core.Controller) float64 { return float64(c.Cache().Capacity()) })
-	r.MustRegister(metrics.Desc{
-		Name: "sprout_shard_invalidations_total",
-		Help: "Versioned peer invalidations received by each shard: applied, or dropped as stale (late or duplicate).",
-		Kind: metrics.KindCounter, Labels: []string{"shard", "result"},
-	}, metrics.CollectorFunc(func() []metrics.Sample {
-		out := make([]metrics.Sample, 0, 2*len(shards))
-		for _, s := range shards {
-			st := s.Controller.Stats()
-			out = append(out,
-				metrics.Sample{LabelValues: []string{s.Shard, "applied"}, Value: float64(st.InvalidationsApplied)},
-				metrics.Sample{LabelValues: []string{s.Shard, "stale_dropped"}, Value: float64(st.InvalidationsStale)})
-		}
-		return out
-	}))
-	r.MustRegister(metrics.Desc{
-		Name: "sprout_shard_read_latency_seconds",
-		Help: "Read latency per shard, all serving classes folded.",
-		Kind: metrics.KindHistogram, Labels: []string{"shard"},
-	}, metrics.CollectorFunc(func() []metrics.Sample {
-		out := make([]metrics.Sample, len(shards))
-		for i, s := range shards {
-			var all core.HistogramBuckets
-			for _, b := range s.Controller.ReadLatencyBuckets() {
-				all = all.Add(b)
-			}
-			out[i] = metrics.Sample{LabelValues: []string{s.Shard}, Hist: histValue(all)}
-		}
-		return out
-	}))
 }
 
 func registerErasure(r *metrics.Registry, st func() erasure.CoderStats) {
@@ -478,32 +437,28 @@ func registerTransport(r *metrics.Registry, client, server func() transport.Tran
 				return out
 			}))
 	}
-	r.MustRegister(metrics.Desc{
-		Name: "sprout_transport_frames_total", Help: "Wire frames, by side and direction.",
-		Kind: metrics.KindCounter, Labels: []string{"side", "direction"},
-	}, metrics.CollectorFunc(func() []metrics.Sample {
-		out := make([]metrics.Sample, 0, 2*len(sides))
-		for i := range sides {
-			s := snaps[i]()
-			out = append(out,
-				metrics.Sample{LabelValues: []string{sides[i], "sent"}, Value: float64(s.FramesSent)},
-				metrics.Sample{LabelValues: []string{sides[i], "received"}, Value: float64(s.FramesReceived)})
-		}
-		return out
-	}))
-	r.MustRegister(metrics.Desc{
-		Name: "sprout_transport_bytes_total", Help: "Wire bytes including length prefixes, by side and direction.",
-		Kind: metrics.KindCounter, Labels: []string{"side", "direction"},
-	}, metrics.CollectorFunc(func() []metrics.Sample {
-		out := make([]metrics.Sample, 0, 2*len(sides))
-		for i := range sides {
-			s := snaps[i]()
-			out = append(out,
-				metrics.Sample{LabelValues: []string{sides[i], "sent"}, Value: float64(s.BytesSent)},
-				metrics.Sample{LabelValues: []string{sides[i], "received"}, Value: float64(s.BytesReceived)})
-		}
-		return out
-	}))
+	for _, m := range []struct {
+		name, help string
+		fn         func(transport.TransportStats) (sent, received int64)
+	}{
+		{"sprout_transport_frames_total", "Wire frames, by side and direction.",
+			func(s transport.TransportStats) (int64, int64) { return s.FramesSent, s.FramesReceived }},
+		{"sprout_transport_bytes_total", "Wire bytes including length prefixes, by side and direction.",
+			func(s transport.TransportStats) (int64, int64) { return s.BytesSent, s.BytesReceived }},
+	} {
+		fn := m.fn
+		r.MustRegister(metrics.Desc{Name: m.name, Help: m.help, Kind: metrics.KindCounter, Labels: []string{"side", "direction"}},
+			metrics.CollectorFunc(func() []metrics.Sample {
+				out := make([]metrics.Sample, 0, 2*len(sides))
+				for i := range sides {
+					sent, received := fn(snaps[i]())
+					out = append(out,
+						metrics.Sample{LabelValues: []string{sides[i], "sent"}, Value: float64(sent)},
+						metrics.Sample{LabelValues: []string{sides[i], "received"}, Value: float64(received)})
+				}
+				return out
+			}))
+	}
 	perSide("sprout_transport_requests_total", "Round trips started (client) or dispatched (server).",
 		func(s transport.TransportStats) int64 { return s.Requests })
 	perSide("sprout_transport_retries_total", "Round trips replayed after a broken connection.",
@@ -536,10 +491,7 @@ func registerRepair(r *metrics.Registry, st func() repair.Stats) {
 		{"sprout_repair_retries_total", "Repairs re-enqueued after failures.", func(s repair.Stats) float64 { return float64(s.Retries) }},
 	} {
 		fn := m.fn
-		r.MustRegister(metrics.Desc{Name: m.name, Help: m.help, Kind: metrics.KindCounter},
-			metrics.CollectorFunc(func() []metrics.Sample {
-				return []metrics.Sample{{Value: fn(st())}}
-			}))
+		fcounter(r, m.name, m.help, func() float64 { return fn(st()) })
 	}
 	gauge(r, "sprout_repair_queue_objects", "Current repair queue depth.",
 		func() float64 { return float64(st().QueueDepth) })

@@ -25,9 +25,11 @@ import (
 
 var update = flag.Bool("update", false, "rewrite docs/metrics.md from the live registry")
 
-// fullRegistry builds a registry with every plane registered — the complete
-// metric surface, used by the conformance and docs tests.
-func fullRegistry(t *testing.T) *metrics.Registry {
+// testController builds a controller over three files on four nodes with
+// admission, the autoscaler and two tenants configured, plans it and warms
+// its cache, so every controller family has samples to export. The fetcher
+// serves the files' chunks.
+func testController(t *testing.T, seed int64) (*core.Controller, core.ChunkFetcher) {
 	t.Helper()
 	nodes := make([]cluster.Node, 4)
 	for i := range nodes {
@@ -48,12 +50,62 @@ func fullRegistry(t *testing.T) *metrics.Registry {
 			{Name: "gold", Class: core.ClassGold, Weight: 4, Files: []int{0}},
 			{Name: "bronze", Class: core.ClassBronze, Weight: 1, RateLimit: 100},
 		},
-	}, 1)
+	}, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ctrl.Close() })
+	if _, err := ctrl.PlanTimeBin([]float64{0.05, 0.05, 0.05}); err != nil {
+		t.Fatal(err)
+	}
+	fetcher := encodedFetcher(t, ctrl, rng)
+	if err := ctrl.PrefetchCache(context.Background(), fetcher); err != nil {
+		t.Fatal(err)
+	}
+	return ctrl, fetcher
+}
 
+// scrape renders reg and re-reads it with the strict parser: order, types,
+// histogram cumulativity, duplicate series.
+func scrape(t *testing.T, reg *metrics.Registry) map[string]*metrics.ParsedFamily {
+	t.Helper()
+	var sb strings.Builder
+	if err := reg.WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := metrics.ParseText(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatalf("strict parse of exposition: %v\n%s", err, sb.String())
+	}
+	return fams
+}
+
+// encodedFetcher erasure-codes a random payload for every file of ctrl and
+// serves chunks from memory.
+func encodedFetcher(t *testing.T, ctrl *core.Controller, rng *rand.Rand) core.ChunkFetcher {
+	t.Helper()
+	storage := map[int][][]byte{}
+	for _, meta := range ctrl.Files() {
+		payload := make([]byte, meta.SizeBytes)
+		rng.Read(payload)
+		dataChunks, err := meta.Code.Split(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if storage[meta.ID], err = meta.Code.Encode(dataChunks); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return core.FetcherFunc(func(_ context.Context, fileID, chunkIndex, _ int) ([]byte, error) {
+		return storage[fileID][chunkIndex], nil
+	})
+}
+
+// fullRegistry builds a registry with every plane registered — the complete
+// metric surface, used by the conformance and docs tests.
+func fullRegistry(t *testing.T) *metrics.Registry {
+	t.Helper()
+	ctrl, _ := testController(t, 1)
 	rt := router.New(router.Options{FanoutWorkers: 1})
 	if err := rt.AddShard(router.Shard{ID: "shard-0", Ctrl: ctrl}); err != nil {
 		t.Fatal(err)
@@ -61,7 +113,7 @@ func fullRegistry(t *testing.T) *metrics.Registry {
 	t.Cleanup(func() { _ = rt.Close() })
 
 	return NewRegistry(Sources{
-		Controller:      ctrl,
+		Shards:          []ShardSource{{Shard: "shard-0", Controller: ctrl}},
 		TransportClient: func() transport.TransportStats { return transport.TransportStats{Requests: 1} },
 		TransportServer: func() transport.TransportStats { return transport.TransportStats{Requests: 2} },
 		Repair:          func() repair.Stats { return repair.Stats{Scans: 1} },
@@ -80,12 +132,10 @@ func fullRegistry(t *testing.T) *metrics.Registry {
 			erasure.StripeScratchPool(),
 		},
 		Rings: []RingSource{
-			{Name: "controller_fill", Stats: ctrl.FillQueueStats},
 			{Name: "transport_work", Stats: func() ring.Stats { return ring.Stats{Pushes: 1, Pops: 1} }},
 			{Name: "repair_wake", Stats: func() ring.Stats { return ring.Stats{} }},
 		},
 		Router: rt,
-		Shards: []ShardSource{{Shard: "shard-0", Controller: ctrl}},
 	})
 }
 
@@ -102,15 +152,7 @@ func TestConformance(t *testing.T) {
 // with the strict parser: order, types, histogram cumulativity, duplicate
 // series.
 func TestExpositionParsesStrictly(t *testing.T) {
-	reg := fullRegistry(t)
-	var sb strings.Builder
-	if err := reg.WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	fams, err := metrics.ParseText(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatalf("strict parse of full exposition: %v\n%s", err, sb.String())
-	}
+	fams := scrape(t, fullRegistry(t))
 	for _, want := range []string{
 		"sprout_reads_total",
 		"sprout_read_latency_seconds",
@@ -127,12 +169,19 @@ func TestExpositionParsesStrictly(t *testing.T) {
 		"sprout_router_reads_total",
 		"sprout_router_invalidations_sent_total",
 		"sprout_router_fanout_latency_seconds",
-		"sprout_shard_reads_total",
-		"sprout_shard_invalidations_total",
-		"sprout_shard_read_latency_seconds",
+		"sprout_autoscale_ups_total",
+		"sprout_tenant_reads_total",
+		"sprout_hedges_launched_total",
 	} {
 		if fams[want] == nil {
 			t.Errorf("exposition missing family %s", want)
+		}
+	}
+	// Controller families carry the shard label (the former sprout_shard_*
+	// families are these, labelled).
+	for _, name := range []string{"sprout_reads_total", "sprout_writes_total", "sprout_peer_invalidations_total", "sprout_read_latency_seconds"} {
+		if fam := fams[name]; fam != nil && fam.Samples[0].Labels["shard"] != "shard-0" {
+			t.Errorf("%s: first sample labels %v, want shard=shard-0", name, fam.Samples[0].Labels)
 		}
 	}
 	if fam := fams["sprout_osd_state_info"]; fam != nil {
@@ -174,51 +223,11 @@ func TestCollectorsAreScrapeTime(t *testing.T) {
 // TestReadLatencyHistogramBridges drives real reads through a controller and
 // checks the observations land in the exported histogram.
 func TestReadLatencyHistogramBridges(t *testing.T) {
-	nodes := make([]cluster.Node, 4)
-	for i := range nodes {
-		nodes[i] = cluster.Node{ID: i, Name: fmt.Sprintf("osd-%d", i), Service: queue.NewExponential(1.0)}
-	}
-	rng := rand.New(rand.NewSource(9))
-	placement, _ := cluster.RandomPlacement(rng, 4, 3)
-	clu := &cluster.Cluster{Nodes: nodes, Files: []cluster.File{
-		{ID: 0, Name: "f0", SizeBytes: 300, K: 2, N: 3, Placement: placement, Lambda: 0.05},
-	}}
-	ctrl, err := core.NewController(clu, 2, optimizer.Options{MaxOuterIter: 6}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctrl.Close()
-
-	meta := ctrl.Files()[0]
-	payload := make([]byte, meta.SizeBytes)
-	rng.Read(payload)
-	dataChunks, err := meta.Code.Split(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	storage, err := meta.Code.Encode(dataChunks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fetcher := core.FetcherFunc(func(_ context.Context, _, chunkIndex, _ int) ([]byte, error) {
-		return storage[chunkIndex], nil
-	})
-	if _, err := ctrl.PlanTimeBin([]float64{0.05}); err != nil {
-		t.Fatal(err)
-	}
+	ctrl, fetcher := testController(t, 1)
 	if _, err := ctrl.Read(context.Background(), 0, fetcher); err != nil {
 		t.Fatal(err)
 	}
-
-	reg := NewRegistry(Sources{Controller: ctrl})
-	var sb strings.Builder
-	if err := reg.WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	fams, err := metrics.ParseText(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	fams := scrape(t, NewRegistry(Sources{Shards: []ShardSource{{Shard: "shard-0", Controller: ctrl}}}))
 	var total float64
 	for _, s := range fams["sprout_read_latency_seconds"].Samples {
 		if strings.HasSuffix(s.Series, "_count") {
@@ -230,6 +239,56 @@ func TestReadLatencyHistogramBridges(t *testing.T) {
 	}
 	if fams["sprout_reads_total"].Samples[0].Value != 1 {
 		t.Fatalf("reads_total = %v, want 1", fams["sprout_reads_total"].Samples[0].Value)
+	}
+}
+
+// TestEveryShardExportsEveryControllerFamily registers two shard
+// controllers and checks that each controller family — autoscale, tenant,
+// saturation and hedge included; the wanted list above and the docs test
+// pin which families exist — carries a sample set for both shards, and
+// that the exposition lints and parses strictly.
+func TestEveryShardExportsEveryControllerFamily(t *testing.T) {
+	c0, _ := testController(t, 1)
+	c1, _ := testController(t, 2)
+	shards := []ShardSource{{Shard: "shard-0", Controller: c0}, {Shard: "shard-1", Controller: c1}}
+	reg := NewRegistry(Sources{Shards: shards})
+	if issues := metrics.Lint(reg); len(issues) != 0 {
+		t.Fatalf("two-shard registry fails conformance:\n  %s", strings.Join(issues, "\n  "))
+	}
+	scrape(t, reg)
+	for _, fam := range reg.Gather() {
+		name := fam.Desc.Name
+		switch {
+		case strings.HasPrefix(name, "sprout_erasure_"):
+			if len(fam.Desc.Labels) != 0 || len(fam.Samples) != 1 {
+				t.Errorf("%s: want one unlabelled sample summed over shards, got labels %v, %d samples",
+					name, fam.Desc.Labels, len(fam.Samples))
+			}
+		case strings.HasPrefix(name, "sprout_ring_"):
+			queues := map[string]bool{}
+			for _, s := range fam.Samples {
+				queues[s.LabelValues[0]] = true
+			}
+			for _, sh := range shards {
+				if !queues["controller_fill_"+sh.Shard] {
+					t.Errorf("%s: no fill-ring sample for %s", name, sh.Shard)
+				}
+			}
+		default:
+			if len(fam.Desc.Labels) == 0 || fam.Desc.Labels[0] != "shard" {
+				t.Errorf("%s: labels %v, want shard first", name, fam.Desc.Labels)
+				continue
+			}
+			perShard := map[string]int{}
+			for _, s := range fam.Samples {
+				perShard[s.LabelValues[0]]++
+			}
+			for _, sh := range shards {
+				if perShard[sh.Shard] == 0 {
+					t.Errorf("%s: no sample for %s", name, sh.Shard)
+				}
+			}
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"sprout/internal/cluster"
 	"sprout/internal/queue"
@@ -186,6 +187,32 @@ func TestOptimizeProducesFeasiblePlan(t *testing.T) {
 	}
 	if len(plan.History) == 0 || plan.Iterations == 0 {
 		t.Fatal("missing convergence history")
+	}
+}
+
+// TestOptimizeZeroServiceTimeReturns plans over nodes with zero service
+// time, whose response moments are all zero: the latency bound's bisection
+// must still terminate, with a zero objective.
+func TestOptimizeZeroServiceTimeReturns(t *testing.T) {
+	p := smallProblem(4, 2, 0.05)
+	for j := range p.Nodes {
+		p.Nodes[j] = queue.StatsFromDist(queue.Deterministic{Value: 0})
+	}
+	done := make(chan *Plan, 1)
+	go func() {
+		plan, err := Optimize(p, Options{MaxOuterIter: 3})
+		if err != nil {
+			t.Error(err)
+		}
+		done <- plan
+	}()
+	select {
+	case plan := <-done:
+		if plan != nil && math.Abs(plan.Objective) > 1e-9 {
+			t.Fatalf("objective with zero service time = %v, want ~0", plan.Objective)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Optimize did not return within 5s on zero service time")
 	}
 }
 

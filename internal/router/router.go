@@ -544,21 +544,3 @@ func (r *Router) AggregateReadLatencyBuckets() map[string]core.HistogramBuckets 
 	}
 	return out
 }
-
-// AggregateReadLatency summarises the folded cross-shard read-latency
-// distribution (all serving classes combined).
-func (r *Router) AggregateReadLatency() core.LatencySnapshot {
-	var all core.HistogramBuckets
-	for _, b := range r.AggregateReadLatencyBuckets() {
-		all = all.Add(b)
-	}
-	s := core.LatencySnapshot{Count: all.Count}
-	if all.Count > 0 {
-		s.Mean = time.Duration(all.SumNS / all.Count)
-		s.P50 = all.Quantile(0.50)
-		s.P90 = all.Quantile(0.90)
-		s.P99 = all.Quantile(0.99)
-		s.Max = all.Quantile(1.0)
-	}
-	return s
-}

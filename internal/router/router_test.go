@@ -140,8 +140,12 @@ func TestRouterRoutesToOwner(t *testing.T) {
 	if agg.Reads != objects {
 		t.Fatalf("aggregated controller reads = %d, want %d", agg.Reads, objects)
 	}
-	if lat := r.AggregateReadLatency(); lat.Count != objects || lat.P99 <= 0 {
-		t.Fatalf("aggregated latency snapshot = %+v", lat)
+	var lat core.HistogramBuckets
+	for _, b := range r.AggregateReadLatencyBuckets() {
+		lat = lat.Add(b)
+	}
+	if lat.Count != objects || lat.Quantile(0.99) <= 0 {
+		t.Fatalf("aggregated latency buckets = %+v", lat)
 	}
 
 	// Masked planning: every shard's cache allocation stays inside its

@@ -176,6 +176,9 @@ type (
 	// MetricsSources selects which planes an observability registry bridges;
 	// nil fields are skipped.
 	MetricsSources = obs.Sources
+	// MetricsShard names one controller for MetricsSources.Shards; its
+	// series carry the name as the shard label.
+	MetricsShard = obs.ShardSource
 
 	// Chaos injects per-OSD latency, errors, stalls, and partitions into a
 	// transport server, runtime-controllable via SetRule/ClearRule.
